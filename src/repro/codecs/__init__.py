@@ -18,7 +18,6 @@ from .metadata import (
     HEADER_SIZE,
     SubTaskHeader,
     pack_headers,
-    unpack_headers,
     unwrap_payload,
     wrap_payload,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "nominal_duration",
     "pack_headers",
     "register_codec",
-    "unpack_headers",
     "unwrap_payload",
     "wrap_payload",
 ]

@@ -16,13 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import SchemaError, UnknownCodecError
-from .base import codec_ids, get_codec
+from .base import get_codec
 
 __all__ = [
     "SubTaskHeader",
     "HEADER_SIZE",
     "pack_headers",
-    "unpack_headers",
     "wrap_payload",
     "unwrap_payload",
 ]
@@ -134,45 +133,15 @@ def pack_headers(headers: Sequence[SubTaskHeader]) -> bytes:
     return arr.tobytes()
 
 
-def unpack_headers(blobs: Sequence[bytes]) -> list[SubTaskHeader]:
-    """Vectorised batch form of :meth:`SubTaskHeader.unpack`.
-
-    Decodes the leading 16 bytes of every blob with one numpy pass and
-    validates all four header invariants (u32 fields, end-offset
-    overflow, registered codec id) across the whole batch at once. When
-    any blob fails validation the batch falls back to the sequential
-    decoder so the raised :class:`SchemaError` is byte-for-byte the one
-    the per-blob path would have produced for the first bad blob.
-    """
-    if not blobs:
-        return []
-    if any(len(blob) < HEADER_SIZE for blob in blobs):
-        return [SubTaskHeader.unpack(blob) for blob in blobs]
-    joined = b"".join(bytes(blob[:HEADER_SIZE]) for blob in blobs)
-    fields = np.frombuffer(joined, dtype="<u4").reshape(len(blobs), 4)
-    wide = fields.astype(np.int64)
-    known = np.array(codec_ids(), dtype=np.int64)
-    if (wide[:, 0] + wide[:, 1] > _U32_MAX).any() or not np.isin(
-        wide[:, 2], known
-    ).all():
-        return [SubTaskHeader.unpack(blob) for blob in blobs]
-    rows = wide.tolist()
-    return [SubTaskHeader(r[0], r[1], r[2], r[3]) for r in rows]
-
-
-def unwrap_payload(
-    blob: bytes, _header: SubTaskHeader | None = None
-) -> tuple[bytes, SubTaskHeader]:
+def unwrap_payload(blob: bytes) -> tuple[bytes, SubTaskHeader]:
     """Decode a header-decorated piece back to its original bytes.
 
     The blob must be exactly ``header + payload``: a short blob means the
     payload was truncated, a long one means ``resulting_size`` no longer
     matches the stored bytes — both are typed :class:`SchemaError`s, as is
-    a decompressed length that disagrees with the header. Batch readers
-    pass ``_header`` when they already parsed this blob's header through
-    :func:`unpack_headers`; every payload-level check still runs.
+    a decompressed length that disagrees with the header.
     """
-    header = _header if _header is not None else SubTaskHeader.unpack(blob)
+    header = SubTaskHeader.unpack(blob)
     stored = len(blob) - HEADER_SIZE
     if stored != header.resulting_size:
         raise SchemaError(

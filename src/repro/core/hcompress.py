@@ -342,23 +342,12 @@ class HCompress:
     ) -> WriteResult:
         self._check_open()
         scale = self.config.python_to_native
-        if task is None:
-            if data is None:
-                raise HCompressError("compress() needs data or a task")
-            if self.obs is not None:
-                with self.obs.region("analyzer.analyze", nbytes=len(data)):
-                    analysis = self.analyzer.analyze(data, hints)
-            else:
-                analysis = self.analyzer.analyze(data, hints)
-            task = IOTask(
-                task_id=task_id or next_task_id(),
-                size=modeled_size if modeled_size is not None else len(data),
-                analysis=analysis,
-                operation=Operation.WRITE,
-                data=data,
+        task = self._write_task(
+            self._write_spec(
+                {"data": data, "task": task, "hints": hints,
+                 "modeled_size": modeled_size, "task_id": task_id}
             )
-        elif data is not None:
-            raise HCompressError("pass either data or a task, not both")
+        )
 
         budget = deadline
         if self.qos is not None:
@@ -443,8 +432,9 @@ class HCompress:
 
         Each item is raw ``bytes``, a prebuilt :class:`IOTask`, or a dict
         of :meth:`compress` keyword arguments (``data``, ``hints``,
-        ``modeled_size``, ``task_id``, ``tenant``). Items are validated
-        and task ids assigned up front, in item order. A dict item's
+        ``modeled_size``, ``task_id``, ``tenant``). Every item is
+        validated before anything is admitted or written, and task ids
+        are assigned in item order. A dict item's
         ``tenant`` overrides the call-level one (it only matters with QoS
         active, or for routing in :class:`~repro.shard.ShardedHCompress`).
 
@@ -458,20 +448,9 @@ class HCompress:
         observability, QoS, or a ``deadline`` active the batch degrades to
         the instrumented per-task path.
         """
+        self._check_open()
+        specs = [self._write_spec(item) for item in items]
         if self.obs is not None or self.qos is not None or deadline is not None:
-            specs: list[dict] = []
-            for item in items:
-                if isinstance(item, IOTask):
-                    specs.append({"task": item})
-                elif isinstance(item, (bytes, bytearray, memoryview)):
-                    specs.append({"data": bytes(item)})
-                elif isinstance(item, dict):
-                    specs.append(dict(item))
-                else:
-                    raise HCompressError(
-                        "compress_batch items must be bytes, IOTask, or dicts "
-                        f"of compress() kwargs, got {type(item).__name__}"
-                    )
             return [
                 # a dict item's own tenant wins over the call-level one
                 self.compress(
@@ -480,76 +459,9 @@ class HCompress:
                 )
                 for spec in specs
             ]
-        self._check_open()
         scale = self.config.python_to_native
-
-        tasks: list[IOTask] = []
-        # Fully-hinted analysis is pure and counter-free (the analyzer
-        # short-circuits before its cache), so a burst reusing one buffer
-        # and hint set shares a single InputAnalysis object — which also
-        # lets the batch planner's per-analysis feature memo hit.
         analysis_memo: dict[tuple[int, int], tuple] = {}
-        for item in items:
-            if isinstance(item, dict):
-                task = item.get("task")
-                if task is None:
-                    data = item.get("data")
-                    if data is None:
-                        raise HCompressError("compress() needs data or a task")
-                    hints = item.get("hints")
-                    if (
-                        hints
-                        and hints.dtype
-                        and hints.data_format
-                        and hints.distribution
-                    ):
-                        memo_key = (id(data), id(hints))
-                        memo = analysis_memo.get(memo_key)
-                        if (
-                            memo is None
-                            or memo[0] is not data
-                            or memo[1] is not hints
-                        ):
-                            memo = (
-                                data, hints, self.analyzer.analyze(data, hints)
-                            )
-                            analysis_memo[memo_key] = memo
-                        analysis = memo[2]
-                    else:
-                        analysis = self.analyzer.analyze(data, hints)
-                    modeled_size = item.get("modeled_size")
-                    task = IOTask(
-                        task_id=item.get("task_id") or next_task_id(),
-                        size=(
-                            modeled_size
-                            if modeled_size is not None
-                            else len(data)
-                        ),
-                        analysis=analysis,
-                        operation=Operation.WRITE,
-                        data=data,
-                    )
-                elif item.get("data") is not None:
-                    raise HCompressError(
-                        "pass either data or a task, not both"
-                    )
-            elif isinstance(item, IOTask):
-                task = item
-            elif isinstance(item, (bytes, bytearray, memoryview)):
-                data = bytes(item)
-                task = IOTask(
-                    task_id=next_task_id(),
-                    size=len(data),
-                    analysis=self.analyzer.analyze(data, None),
-                    operation=Operation.WRITE,
-                    data=data,
-                )
-            else:
-                raise HCompressError(
-                    "compress_batch items must be bytes, IOTask, or dicts "
-                    f"of compress() kwargs, got {type(item).__name__}"
-                )
-            tasks.append(task)
+        tasks = [self._write_task(spec, analysis_memo) for spec in specs]
 
         planner = (
             self.engine.batch_planner()
@@ -706,6 +618,72 @@ class HCompress:
                 self.lifecycle.note_write(result.task.task_id)
         return results
 
+    @staticmethod
+    def _write_spec(item) -> dict:
+        """One write item as :meth:`compress` kwargs.
+
+        Rejects a malformed item here, before anything is analysed,
+        admitted or written — on every engine configuration alike.
+        """
+        if isinstance(item, dict):
+            if item.get("task") is None:
+                if item.get("data") is None:
+                    raise HCompressError("compress() needs data or a task")
+            elif item.get("data") is not None:
+                raise HCompressError("pass either data or a task, not both")
+            return item
+        if isinstance(item, IOTask):
+            return {"task": item}
+        if isinstance(item, (bytes, bytearray, memoryview)):
+            return {"data": bytes(item)}
+        raise HCompressError(
+            "compress_batch items must be bytes, IOTask, or dicts "
+            f"of compress() kwargs, got {type(item).__name__}"
+        )
+
+    def _write_task(self, spec: dict, memo: dict | None = None) -> IOTask:
+        """The :class:`IOTask` of one validated spec (analysing raw data).
+
+        Fully-hinted analysis is pure and counter-free (the analyzer
+        short-circuits before its cache), so a batch passes ``memo`` and a
+        burst reusing one buffer and hint set shares a single
+        InputAnalysis object — which also lets the batch planner's
+        per-analysis feature memo hit.
+        """
+        task = spec.get("task")
+        if task is not None:
+            return task
+        data = spec["data"]
+        hints = spec.get("hints")
+        hit = key = None
+        if (
+            memo is not None
+            and hints
+            and hints.dtype
+            and hints.data_format
+            and hints.distribution
+        ):
+            key = (id(data), id(hints))
+            hit = memo.get(key)
+        if hit is not None and hit[0] is data and hit[1] is hints:
+            analysis = hit[2]
+        else:
+            if self.obs is not None:
+                with self.obs.region("analyzer.analyze", nbytes=len(data)):
+                    analysis = self.analyzer.analyze(data, hints)
+            else:
+                analysis = self.analyzer.analyze(data, hints)
+            if key is not None:
+                memo[key] = (data, hints, analysis)
+        modeled_size = spec.get("modeled_size")
+        return IOTask(
+            task_id=spec.get("task_id") or next_task_id(),
+            size=modeled_size if modeled_size is not None else len(data),
+            analysis=analysis,
+            operation=Operation.WRITE,
+            data=data,
+        )
+
     def _plan_constraints(self, dl: Deadline | None) -> dict:
         """QoS constraints for one :meth:`HcdpEngine.plan` call.
 
@@ -789,33 +767,12 @@ class HCompress:
     ) -> list[ReadResult]:
         """Read-and-decompress a batch of written tasks in order.
 
-        Result- and telemetry-identical to calling :meth:`decompress` per
-        id (full reads only); each task's piece headers are parsed in one
-        vectorized pass through the manager's batch read path. Degrades to
-        the instrumented per-task path under observability, QoS, or a
-        ``deadline``.
+        Exactly :meth:`decompress` per id (full reads only): one read
+        pipeline serves both, so results, telemetry and deadlines match.
         """
-        if self.obs is not None or self.qos is not None or deadline is not None:
-            return [
-                self.decompress(task_id, deadline=deadline)
-                for task_id in task_ids
-            ]
-        self._check_open()
-        scale = self.config.python_to_native
-        results: list[ReadResult] = []
-        for task_id in task_ids:
-            result = self.manager.execute_read_batch([task_id])[0]
-            self.anatomy.metadata_parsing += result.metadata_seconds / scale
-            self.anatomy.decompression += result.decompress_seconds
-            self.anatomy.read_io += result.io_seconds
-            wall = time.perf_counter()
-            self.feedback.flush()
-            self.anatomy.read_feedback += (time.perf_counter() - wall) / scale
-            self.anatomy.read_ops += 1
-            if self.lifecycle is not None:
-                self.lifecycle.note_read(task_id)
-            results.append(result)
-        return results
+        return [
+            self.decompress(task_id, deadline=deadline) for task_id in task_ids
+        ]
 
     # -- runtime control -----------------------------------------------------
 

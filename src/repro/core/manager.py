@@ -30,12 +30,12 @@ from ..ccp.features import ObservationKey
 from ..codecs.base import get_codec
 from ..codecs.metadata import (
     HEADER_SIZE,
-    unpack_headers,
     unwrap_payload,
     wrap_payload,
 )
 from ..codecs.pool import CompressionLibraryPool
 from ..errors import (
+    CapacityError,
     CodecError,
     CorruptDataError,
     DeadlineExceededError,
@@ -46,6 +46,7 @@ from ..errors import (
 from ..hashing import content_hash64
 from ..hcdp.schema import Schema, SubTaskPlan
 from ..hcdp.task import IOTask
+from ..scrub.fsck import validate_entry
 from ..units import MB
 from .config import ExecutorConfig
 from .shi import StorageHardwareInterface
@@ -56,6 +57,8 @@ __all__ = [
     "WriteResult",
     "ReadResult",
     "CatalogEntry",
+    "Move",
+    "Relocation",
 ]
 
 
@@ -76,6 +79,31 @@ class CatalogEntry(NamedTuple):
     codec: str
     crc32: int | None  # checksum of the stored blob (None: accounting-only)
     digest: int | None = None  # content digest of the uncompressed bytes
+
+
+class Move(NamedTuple):
+    """One piece of a :meth:`CompressionManager.relocate` call.
+
+    The stored blob is read from wherever the piece lives unless ``blob``
+    supplies a repair source's bytes to stand in for it. ``codec``
+    re-encodes the piece and ``accounted`` resizes a payload-less modeled
+    one; ``None`` keeps the stored bytes / the footprint.
+    """
+
+    index: int  # piece index within the task
+    targets: tuple  # candidate tiers, most preferred first
+    codec: str | None = None
+    blob: bytes | None = None
+    accounted: int | None = None
+
+
+class Relocation(NamedTuple):
+    """What one :meth:`CompressionManager.relocate` call did."""
+
+    keys: list[str]  # the new key of each move, in move order
+    tiers: list[str]  # the tier each move landed on
+    bytes_moved: int  # accounted bytes placed
+    modeled_seconds: float  # source reads + target writes, uncontended
 
 
 class _PreparedPiece(NamedTuple):
@@ -616,96 +644,24 @@ class CompressionManager:
         )
 
     def execute_write_batch(self, schemas: list[Schema], deadline=None) -> list[WriteResult]:
-        """Execute a batch of write schemas in order.
-
-        Catalog-, ledger-, and telemetry-identical to calling
-        :meth:`execute_write` per schema. The batch form shares one sample
-        digest per distinct buffer, groups each task's capacity-ledger
-        debits into one :meth:`~repro.tiers.Tier.put_many` per tier, and
-        runs the piece thread pool's eligibility/ordering pass once for
-        the whole batch instead of once per task (only the
-        ``parallel_pieces`` diagnostic can differ). Falls back to the
-        per-task path whenever observability, QoS, crash-points, or a
-        deadline require the instrumented route.
-        """
-        if not self._batch_fastpath_ok(deadline):
-            return [self.execute_write(schema, deadline) for schema in schemas]
-        prepared = self._prepare_pieces_batch(schemas)
+        """Execute write schemas in order, one batch session for all."""
+        # No caller inside the repo; kept as a name because the end-to-end
+        # benchmark's tracer resolves it with ``vars(CompressionManager)``.
         ctx = self.batch_context()
-        results = []
-        for index, schema in enumerate(schemas):
-            if index in prepared:
-                results.append(
-                    self._execute_write(schema, _prepared=prepared[index])
-                )
-            else:
-                results.append(self._execute_write_fast(schema, ctx))
-        return results
+        return [self.execute_write_batched(s, ctx, deadline) for s in schemas]
 
     def execute_write_batched(
         self, schema: Schema, ctx: "_BatchWriteContext", deadline=None
     ) -> WriteResult:
-        """One write inside a batch session (see :meth:`batch_context`).
-
-        The incremental form of :meth:`execute_write_batch` for drivers
-        that must interleave planning with execution (a task's plan
-        depends on the capacity its predecessors consumed).
-        """
+        """One write inside a batch session (see :meth:`batch_context`),
+        for drivers that must interleave planning with execution (a
+        task's plan depends on the capacity its predecessors consumed)."""
         if not self._batch_fastpath_ok(deadline):
             return self.execute_write(schema, deadline)
         task = schema.task
         if task.materialised and task.data is not None:
             return self._execute_write(schema)
         return self._execute_write_fast(schema, ctx)
-
-    def _prepare_pieces_batch(
-        self, schemas: list[Schema]
-    ) -> dict[int, list["_PreparedPiece"]]:
-        """Pre-run the pure codec work for a batch's materialised tasks.
-
-        One eligibility/ordering pass over every ``(task, piece)`` in the
-        batch and at most one pooled submission set, where the per-task
-        path re-sorts and re-submits per call. Results are consumed in
-        ``(task, piece)`` order, so outputs and first-error surfacing
-        match the per-task path; only the ``parallel_pieces`` diagnostic
-        can differ (pool eligibility is judged batch-wide).
-        """
-        out: dict[int, list[_PreparedPiece]] = {}
-        tagged: list[tuple[int, int, SubTaskPlan, bytes, bool]] = []
-        for index, schema in enumerate(schemas):
-            task = schema.task
-            if not (task.materialised and task.data is not None):
-                continue
-            out[index] = [None] * len(schema.pieces)  # type: ignore[list-item]
-            for j, plan in enumerate(schema.pieces):
-                tagged.append(
-                    (
-                        index,
-                        j,
-                        plan,
-                        task.data,
-                        self._pool_eligible(plan.codec, plan.length),
-                    )
-                )
-        if not tagged:
-            return out
-        futures: dict[tuple[int, int], Future] = {}
-        if sum(1 for item in tagged if item[4]) >= 2:
-            executor = self._executor()
-            futures = {
-                (i, j): executor.submit(self._compress_piece, sample, plan)
-                for i, j, plan, sample, pooled in tagged
-                if pooled
-            }
-            self.parallel_pieces += len(futures)
-        for i, j, plan, sample, _pooled in tagged:
-            future = futures.get((i, j))
-            out[i][j] = (
-                future.result()
-                if future is not None
-                else self._compress_piece(sample, plan)
-            )
-        return out
 
     def _execute_write_fast(
         self, schema: Schema, ctx: "_BatchWriteContext"
@@ -1091,19 +1047,11 @@ class CompressionManager:
     # -- read path ------------------------------------------------------------
 
     def task_keys(self, task_id: str) -> list[str]:
-        try:
-            return [entry.key for entry in self._catalog[task_id]]
-        except KeyError:
-            raise TierError(f"unknown task {task_id!r}") from None
+        return [entry.key for entry in self.task_entries(task_id)]
 
     def task_pieces(self, task_id: str) -> list[tuple[str, int]]:
         """(key, modeled length) pairs for a written task."""
-        try:
-            return [
-                (entry.key, entry.length) for entry in self._catalog[task_id]
-            ]
-        except KeyError:
-            raise TierError(f"unknown task {task_id!r}") from None
+        return [(e.key, e.length) for e in self.task_entries(task_id)]
 
     def __contains__(self, task_id: str) -> bool:
         return task_id in self._catalog
@@ -1120,10 +1068,9 @@ class CompressionManager:
             raise TierError(f"unknown task {task_id!r}") from None
 
     def replace_task_entries(
-        self, task_id: str, entries,
-        crash_site: str = "lifecycle.post_journal",
+        self, task_id: str, entries, crash_site: str
     ) -> None:
-        """Re-point a task at new piece entries (migration or scrub repair).
+        """Re-point a task at new piece entries (:meth:`relocate`'s step 2).
 
         The caller has already placed the new extents; this applies the
         write path's WAL discipline to the re-point: the journal's
@@ -1132,8 +1079,7 @@ class CompressionManager:
         replay lands on the new placement and a crash before the sync
         keeps the old one. Either way the old keys (after) or the new
         keys (before) are orphans the recovery sweep reclaims.
-        ``crash_site`` names the swept post-journal crash window of the
-        calling subsystem (lifecycle migration or scrub repair).
+        ``crash_site`` names the swept post-journal crash window.
         """
         if task_id not in self._catalog:
             raise TierError(f"unknown task {task_id!r}")
@@ -1143,6 +1089,131 @@ class CompressionManager:
         if self.crashpoints is not None:
             self.crashpoints.reached(crash_site)
         self._catalog[task_id] = entries
+
+    def relocate(
+        self, task_id: str, moves: list[Move], *, cause: str
+    ) -> Relocation | None:
+        """Move pieces of a written task to new extents, crash-safely.
+
+        The one copy -> journal re-point -> evict choreography behind
+        lifecycle migration and scrub repair (``cause`` is ``"lifecycle"``
+        or ``"scrub"`` and prefixes the swept crash sites):
+
+        1. **copy** — each moved piece is verified against its catalog
+           entry (stored CRC, then the content digest of the bytes decoded
+           *once*; bytes a repair source supplied go through
+           :func:`~repro.scrub.fsck.validate_entry`), optionally
+           re-encoded, and placed on the first target that fits under a
+           *fresh* key (``task/gN/i``) while catalog and journal still
+           name the old keys. A crash strands the copies as orphans that
+           recovery's sweep reclaims. A lost race (capacity, a flapping
+           tier, a vanished piece) or a corrupt source evicts the copies
+           placed so far and returns ``None`` with nothing else touched.
+        2. **journal** — :meth:`replace_task_entries`: one idempotent
+           ``commit`` record, durable before the in-memory catalog
+           mutates. From here a crash replays the new placement and
+           strands the *old* keys as orphans instead.
+        3. **evict** — the old keys leave every tier holding them and
+           their quarantine, if any, is lifted.
+
+        So exactly one copy of each piece is ever the one the recovered
+        catalog names. ``SimulatedCrashError`` from the ``{cause}.post_copy``
+        / ``post_journal`` / ``post_evict`` sites propagates: process death.
+        """
+        hierarchy = self.shi.hierarchy
+        old = self._catalog.get(task_id)
+        if old is None:
+            return None
+        entries = list(old)
+        generation = self._next_generation(task_id, old)
+        keys: list[str] = []
+        tiers: list = []
+        moved = 0
+        seconds = 0.0
+        try:
+            for move in moves:
+                entry = old[move.index]
+                blob, accounted, crc = move.blob, move.accounted, entry.crc32
+                if blob is None:
+                    src = hierarchy.find(entry.key)
+                    if src is None:
+                        raise TierError(f"piece {entry.key!r} lost from every tier")
+                    extent = src.extent(entry.key)
+                    seconds += src.io_seconds(extent.accounted_size)
+                    if extent.has_payload:
+                        blob = src.get(entry.key)
+                    elif accounted is None:
+                        accounted = extent.accounted_size
+                if blob is not None:
+                    if move.codec is None:
+                        intact = validate_entry(entry, blob)
+                    else:
+                        intact = crc is None or zlib.crc32(blob) == crc
+                    if not intact:
+                        raise CorruptDataError(
+                            f"piece {entry.key!r} failed validation on relocate"
+                        )
+                    if move.codec is not None:
+                        # Decoded once: the same bytes feed the digest
+                        # check and the new codec.
+                        data, header = self._unwrap(entry, blob, verify=True)
+                        blob, _ = wrap_payload(
+                            data, start_offset=header.start_offset,
+                            codec_name=move.codec,
+                        )
+                        crc = None if crc is None else zlib.crc32(blob)
+                    accounted = len(blob)
+                target = next((t for t in move.targets if t.fits(accounted)), None)
+                if target is None:
+                    raise CapacityError(f"piece {entry.key!r} fits no target")
+                seconds += target.io_seconds(accounted)
+                new_key = f"{task_id}/g{generation}/{move.index}"
+                target.put(new_key, blob, accounted_size=accounted)
+                keys.append(new_key)
+                tiers.append(target)
+                moved += accounted
+                # A re-encode changes the stored bytes (codec, CRC) but
+                # never the content: the end-to-end digest rides along.
+                entries[move.index] = CatalogEntry(
+                    new_key, entry.length, move.codec or entry.codec, crc,
+                    entry.digest,
+                )
+        except (TierError, CapacityError, CorruptDataError):
+            for tier, key in zip(tiers, keys):
+                tier.evict(key)
+            return None
+        if self.crashpoints is not None:
+            self.crashpoints.reached(f"{cause}.post_copy")
+        self.replace_task_entries(task_id, entries, f"{cause}.post_journal")
+        old_keys = [old[move.index].key for move in moves]
+        for holder in hierarchy:
+            for key in old_keys:
+                if key in holder:
+                    holder.evict(key)
+        if self.crashpoints is not None:
+            self.crashpoints.reached(f"{cause}.post_evict")
+        for key in old_keys:
+            self.clear_quarantine(key)
+        return Relocation(keys, [t.spec.name for t in tiers], moved, seconds)
+
+    @staticmethod
+    def _next_generation(task_id: str, entries: list[CatalogEntry]) -> int:
+        """Generation number for a relocation's fresh piece keys.
+
+        Keys must never collide with live extents: originals are
+        ``task/N``, generation ``g`` rewrites are ``task/gG/N``. Parsing
+        the current keys (instead of counting in daemon state) keeps the
+        scheme deterministic across restores, where recovery has already
+        swept every non-catalog key off the tiers.
+        """
+        generation = 0
+        prefix = f"{task_id}/g"
+        for entry in entries:
+            if entry.key.startswith(prefix):
+                tail = entry.key[len(prefix):].split("/", 1)[0]
+                if tail.isdigit():
+                    generation = max(generation, int(tail))
+        return generation + 1
 
     def _fetch_blob(self, entry: CatalogEntry) -> bytes:
         """Read one piece's blob through the SHI, verifying its checksum.
@@ -1200,24 +1271,25 @@ class CompressionManager:
         self.quarantined.discard(key)
         self._repair_failures.pop(key, None)
 
-    def _unwrap(self, entry: CatalogEntry, blob: bytes, header=None):
+    def _unwrap(self, entry: CatalogEntry, blob: bytes, verify=False):
         """Decode a blob, mapping malformed-payload failures to
         :class:`CorruptDataError` (a bad header/payload on an
         integrity-checked piece is corruption, not a schema bug).
 
-        With ``verify_digests`` on, the decoded bytes are additionally
+        With ``verify_digests`` on (or ``verify``: a relocation must never
+        launder rot under a fresh CRC), the decoded bytes are additionally
         checked against the entry's end-to-end content digest — catching
         corruption the stored-blob CRC cannot see (e.g. a wrong-but-valid
         blob landed under the right key).
         """
         try:
-            data, header = unwrap_payload(blob, _header=header)
+            data, header = unwrap_payload(blob)
         except (SchemaError, CodecError) as exc:
             raise CorruptDataError(
                 f"piece {entry.key!r} failed to decode: {exc}"
             ) from exc
         if (
-            self.verify_digests
+            (verify or self.verify_digests)
             and entry.digest is not None
             and content_hash64(data) != entry.digest
         ):
@@ -1228,10 +1300,10 @@ class CompressionManager:
             )
         return data, header
 
-    def _unwrap_timed(self, entry: CatalogEntry, blob: bytes, header=None):
+    def _unwrap_timed(self, entry: CatalogEntry, blob: bytes):
         """(data, header, wall seconds) for one blob — pure, pool-safe."""
         wall_start = time.perf_counter()
-        data, header = self._unwrap(entry, blob, header)
+        data, header = self._unwrap(entry, blob)
         return data, header, time.perf_counter() - wall_start
 
     def execute_read(self, task_id: str, deadline=None) -> ReadResult:
@@ -1241,199 +1313,20 @@ class CompressionManager:
         buffer; for sample-scaled tasks it is the reassembled sample (or
         ``None`` when payloads were never stored) while the modeled timing
         still reflects the full modeled size.
-
-        Decompression runs in three phases: fetch every blob serially
-        (tier accounting, checksums and read-repair are stateful), decode
-        the blobs — on the thread pool for GIL-releasing codecs — and
-        reassemble serially in piece order, so results are identical with
-        the pool on or off.
         """
         if self.obs is None:
-            return self._execute_read(task_id, deadline)
+            return self._read_pieces(task_id, deadline)
         with self.obs.region("manager.execute_read", task=task_id) as sp:
-            result = self._execute_read(task_id, deadline)
+            result = self._read_pieces(task_id, deadline)
             sp.set_attr("pieces", result.pieces)
             sp.charge_modeled(result.decompress_seconds + result.io_seconds)
         return result
 
-    def _execute_read(self, task_id: str, deadline=None) -> ReadResult:
-        try:
-            pieces = self._catalog[task_id]
-        except KeyError:
-            raise TierError(f"unknown task {task_id!r}") from None
-        io_seconds = 0.0
-        modeled = 0
-        have_payloads = True
-        fetched: list[tuple[CatalogEntry, bytes | None]] = []
-        for entry in pieces:
-            if deadline is not None:
-                deadline.check(f"read {task_id!r}", io_seconds)
-            tier = self.shi.locate(entry.key)
-            if tier is None:
-                raise TierError(f"piece {entry.key!r} lost from every tier")
-            extent = tier.extent(entry.key)
-            modeled += entry.length
-            io_seconds += tier.io_seconds(extent.accounted_size)
-            if extent.has_payload:
-                fetched.append((entry, self._fetch_blob(entry)))
-            else:
-                have_payloads = False
-                fetched.append((entry, None))
-        if deadline is not None:
-            # Final check with the full I/O bill: a single-piece read that
-            # blew the budget must fail typed, not slip through unchecked.
-            deadline.check(f"read {task_id!r}", io_seconds)
-
-        pooled = [
-            blob is not None and self._pool_eligible(entry.codec, len(blob))
-            for entry, blob in fetched
-        ]
-        futures: dict[int, Future] = {}
-        if sum(pooled) >= 2:
-            executor = self._executor()
-            futures = {
-                i: executor.submit(self._unwrap_timed, entry, blob)
-                for i, (entry, blob) in enumerate(fetched)
-                if pooled[i]
-            }
-            self.parallel_pieces += len(futures)
-
-        parts: list[bytes] = []
-        decompress_seconds = 0.0
-        metadata_seconds = 0.0
-        # Results (and any decode error) are consumed in piece order, so
-        # the first in-order failure surfaces exactly as on the serial path.
-        for i, (entry, blob) in enumerate(fetched):
-            if blob is not None:
-                data, header, wall = (
-                    futures[i].result() if i in futures
-                    else self._unwrap_timed(entry, blob)
-                )
-                metadata_seconds += wall
-                parts.append(data)
-                # The applied library is rediscovered from the stored
-                # header — the paper's decentralised-decode property.
-                codec_name = get_codec(header.codec_id).meta.name
-            else:
-                codec_name = entry.codec
-            if codec_name != "none":
-                profile = self.pool.profile(codec_name)
-                decompress_seconds += entry.length / (
-                    profile.decompress_mbps * MB
-                )
-        data = b"".join(parts) if have_payloads else None
-        return ReadResult(
-            task_id=task_id,
-            data=data,
-            modeled_size=modeled,
-            decompress_seconds=decompress_seconds,
-            io_seconds=io_seconds,
-            metadata_seconds=metadata_seconds,
-            pieces=len(pieces),
-        )
-
     def execute_read_batch(
         self, task_ids: list[str], deadline=None
     ) -> list[ReadResult]:
-        """Read a batch of tasks in order.
-
-        Result- and error-identical to calling :meth:`execute_read` per
-        id; the batch form parses each task's 16-byte piece headers in
-        one vectorized pass (:func:`repro.codecs.metadata.unpack_headers`)
-        instead of one ``struct`` unpack per piece. Falls back to the
-        per-task path under observability or a deadline.
-        """
-        if self.obs is not None or deadline is not None:
-            return [self.execute_read(task_id, deadline) for task_id in task_ids]
-        return [self._execute_read_fast(task_id) for task_id in task_ids]
-
-    def _execute_read_fast(self, task_id: str) -> ReadResult:
-        """:meth:`_execute_read` with one vectorized header parse per task.
-
-        The stateful fetch phase (tier accounting, checksums, read-repair)
-        is identical; header parsing for every payload-bearing piece then
-        happens in a single numpy pass, and the bodies decode with the
-        pre-parsed headers. A batch parse failure drops back to per-piece
-        decoding so the first in-order error surfaces exactly as on the
-        serial path.
-        """
-        try:
-            pieces = self._catalog[task_id]
-        except KeyError:
-            raise TierError(f"unknown task {task_id!r}") from None
-        io_seconds = 0.0
-        modeled = 0
-        have_payloads = True
-        fetched: list[tuple[CatalogEntry, bytes | None]] = []
-        for entry in pieces:
-            tier = self.shi.locate(entry.key)
-            if tier is None:
-                raise TierError(f"piece {entry.key!r} lost from every tier")
-            extent = tier.extent(entry.key)
-            modeled += entry.length
-            io_seconds += tier.io_seconds(extent.accounted_size)
-            if extent.has_payload:
-                fetched.append((entry, self._fetch_blob(entry)))
-            else:
-                have_payloads = False
-                fetched.append((entry, None))
-
-        headers: list = [None] * len(fetched)
-        present = [i for i, (_entry, blob) in enumerate(fetched) if blob is not None]
-        if present:
-            try:
-                parsed = unpack_headers([fetched[i][1] for i in present])
-            except SchemaError:
-                parsed = None  # per-piece decode will surface the exact error
-            if parsed is not None:
-                for i, header in zip(present, parsed):
-                    headers[i] = header
-
-        pooled = [
-            blob is not None and self._pool_eligible(entry.codec, len(blob))
-            for entry, blob in fetched
-        ]
-        futures: dict[int, Future] = {}
-        if sum(pooled) >= 2:
-            executor = self._executor()
-            futures = {
-                i: executor.submit(
-                    self._unwrap_timed, entry, blob, headers[i]
-                )
-                for i, (entry, blob) in enumerate(fetched)
-                if pooled[i]
-            }
-            self.parallel_pieces += len(futures)
-
-        parts: list[bytes] = []
-        decompress_seconds = 0.0
-        metadata_seconds = 0.0
-        for i, (entry, blob) in enumerate(fetched):
-            if blob is not None:
-                data, header, wall = (
-                    futures[i].result() if i in futures
-                    else self._unwrap_timed(entry, blob, headers[i])
-                )
-                metadata_seconds += wall
-                parts.append(data)
-                codec_name = get_codec(header.codec_id).meta.name
-            else:
-                codec_name = entry.codec
-            if codec_name != "none":
-                profile = self.pool.profile(codec_name)
-                decompress_seconds += entry.length / (
-                    profile.decompress_mbps * MB
-                )
-        data = b"".join(parts) if have_payloads else None
-        return ReadResult(
-            task_id=task_id,
-            data=data,
-            modeled_size=modeled,
-            decompress_seconds=decompress_seconds,
-            io_seconds=io_seconds,
-            metadata_seconds=metadata_seconds,
-            pieces=len(pieces),
-        )
+        """Read a batch of tasks in order: :meth:`execute_read` per id."""
+        return [self.execute_read(task_id, deadline) for task_id in task_ids]
 
     def execute_read_range(
         self, task_id: str, offset: int, length: int, deadline=None
@@ -1452,62 +1345,111 @@ class CompressionManager:
             raise SchemaError(
                 f"invalid range offset={offset} length={length}"
             )
+        if length == 0 and task_id in self._catalog:
+            return ReadResult(task_id, b"", 0, 0.0, 0.0, 0.0, 0)
+        return self._read_pieces(task_id, deadline, (offset, offset + length))
+
+    def _read_pieces(
+        self, task_id: str, deadline=None, span: tuple[int, int] | None = None
+    ) -> ReadResult:
+        """The read pipeline: every read — per task, batch, ranged — runs
+        this body, so it is the one place the read budget is audited.
+
+        Three phases: fetch the selected blobs serially (tier accounting,
+        deadline checks, checksums and read-repair are stateful), decode
+        them — on the thread pool when at least two pieces carry a
+        payload a GIL-releasing codec wrote — and reassemble serially in
+        piece order, so results are identical with the pool on or off.
+        ``span`` (a ``[start, end)`` byte range) selects the overlapping
+        pieces and trims their decoded bytes to it.
+        """
         try:
-            pieces = self._catalog[task_id]
+            entries = self._catalog[task_id]
         except KeyError:
             raise TierError(f"unknown task {task_id!r}") from None
-        if length == 0:
-            return ReadResult(task_id, b"", 0, 0.0, 0.0, 0.0, 0)
-        end = offset + length
-        parts: list[bytes] = []
+        if span is not None:
+            start, end = span
+            cursor = 0
+            selected, offsets = [], []
+            for entry in entries:
+                if cursor < end and cursor + entry.length > start:
+                    selected.append(entry)
+                    offsets.append(cursor)
+                cursor += entry.length
+            entries = selected
+            clipped = min(end, cursor) - min(start, cursor)
+
         io_seconds = 0.0
-        decompress_seconds = 0.0
-        metadata_seconds = 0.0
-        touched = 0
-        have_payloads = True
-        cursor = 0
-        for entry in pieces:
-            piece_start, piece_end = cursor, cursor + entry.length
-            cursor = piece_end
-            if piece_end <= offset or piece_start >= end:
-                continue  # no overlap: never touched
+        modeled = 0
+        payloads = 0
+        blobs: list[bytes | None] = []
+        for entry in entries:
             if deadline is not None:
                 deadline.check(f"read {task_id!r}", io_seconds)
-            touched += 1
             tier = self.shi.locate(entry.key)
             if tier is None:
                 raise TierError(f"piece {entry.key!r} lost from every tier")
             extent = tier.extent(entry.key)
+            modeled += entry.length
             io_seconds += tier.io_seconds(extent.accounted_size)
             if extent.has_payload:
-                blob = self._fetch_blob(entry)
-                wall_start = time.perf_counter()
-                data, header = self._unwrap(entry, blob)
-                metadata_seconds += time.perf_counter() - wall_start
-                lo = max(offset - piece_start, 0)
-                hi = min(end - piece_start, len(data))
-                parts.append(data[lo:hi])
+                blobs.append(self._fetch_blob(entry))
+                payloads += 1
+            else:
+                blobs.append(None)
+        if deadline is not None and entries:
+            # Final check with the full I/O bill: a single-piece read that
+            # blew the budget must fail typed, not slip through unchecked.
+            deadline.check(f"read {task_id!r}", io_seconds)
+
+        futures: dict[int, Future] = {}
+        if payloads >= 2:
+            pooled = [
+                i for i, blob in enumerate(blobs)
+                if blob is not None
+                and self._pool_eligible(entries[i].codec, len(blob))
+            ]
+            if len(pooled) >= 2:
+                executor = self._executor()
+                futures = {
+                    i: executor.submit(self._unwrap_timed, entries[i], blobs[i])
+                    for i in pooled
+                }
+                self.parallel_pieces += len(futures)
+
+        parts: list[bytes] = []
+        decompress_seconds = 0.0
+        metadata_seconds = 0.0
+        # Results (and any decode error) are consumed in piece order, so
+        # the first in-order failure surfaces exactly as on a serial decode.
+        for i, (entry, blob) in enumerate(zip(entries, blobs)):
+            if blob is not None:
+                data, header, wall = (
+                    futures[i].result() if i in futures
+                    else self._unwrap_timed(entry, blob)
+                )
+                metadata_seconds += wall
+                if span is not None:
+                    data = data[max(start - offsets[i], 0) : end - offsets[i]]
+                parts.append(data)
+                # The applied library is rediscovered from the stored
+                # header — the paper's decentralised-decode property.
                 codec_name = get_codec(header.codec_id).meta.name
             else:
-                have_payloads = False
                 codec_name = entry.codec
             if codec_name != "none":
                 profile = self.pool.profile(codec_name)
                 decompress_seconds += entry.length / (
                     profile.decompress_mbps * MB
                 )
-        if deadline is not None and touched:
-            # Same final check as the full read: the last touched piece's
-            # I/O must also fit the budget.
-            deadline.check(f"read {task_id!r}", io_seconds)
         return ReadResult(
             task_id=task_id,
-            data=b"".join(parts) if have_payloads else None,
-            modeled_size=min(end, cursor) - min(offset, cursor),
+            data=b"".join(parts) if payloads == len(blobs) else None,
+            modeled_size=modeled if span is None else clipped,
             decompress_seconds=decompress_seconds,
             io_seconds=io_seconds,
             metadata_seconds=metadata_seconds,
-            pieces=touched,
+            pieces=len(entries),
         )
 
     def evict_task(self, task_id: str) -> int:

@@ -202,6 +202,12 @@ def run_chaos(
     return outcome
 
 
+def default_seed() -> SeedData:
+    """The quick profiler seed every fault harness defaults to."""
+    profiler = HCompressProfiler(rng=np.random.default_rng(0))
+    return profiler.quick_seed(sizes=(8 * KiB, 32 * KiB))
+
+
 def _advance(clock: SimClock, injector: FaultInjector, t: float) -> None:
     clock.advance_to(t)
     injector.advance_to(clock.now)
@@ -218,8 +224,7 @@ def _run_hc(
     plan_cache=None, executor=None,
 ) -> ChaosOutcome:
     if seed is None:
-        profiler = HCompressProfiler(rng=np.random.default_rng(0))
-        seed = profiler.quick_seed(sizes=(8 * KiB, 32 * KiB))
+        seed = default_seed()
     engine_config = HCompressConfig(
         monitor_interval=config.monitor_interval,
         resilience=(

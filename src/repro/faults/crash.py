@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from ..ccp import SeedData
-from ..core import HCompress, HCompressConfig, HCompressProfiler
+from ..core import HCompress, HCompressConfig
 from ..core.config import LifecycleConfig, RecoveryConfig, ScrubConfig
 from ..errors import HCompressError, SimulatedCrashError
 from ..hermes.flusher import TierFlusher
@@ -45,6 +45,7 @@ from ..sim.clock import SimClock
 from ..tiers import StorageHierarchy, ares_hierarchy
 from ..units import KiB
 from ..workloads.vpic import vpic_sample
+from .chaos import _advance, default_seed
 from .injector import FaultInjector
 from .latent import LatentCorruptionInjector
 from .plan import FaultPlan
@@ -197,11 +198,6 @@ class CrashOutcome:
         )
 
 
-def _default_seed() -> SeedData:
-    profiler = HCompressProfiler(rng=np.random.default_rng(0))
-    return profiler.quick_seed(sizes=(8 * KiB, 32 * KiB))
-
-
 def _crash_hierarchy(config: CrashConfig) -> StorageHierarchy:
     """RAM holds ~1.5 buffers so writes spill and the flusher has work;
     NVMe is the spill target so the outage window forces SHI failover."""
@@ -221,11 +217,6 @@ def _task_buffers(config: CrashConfig) -> dict[str, bytes]:
         f"crash/t{index}": vpic_sample(config.task_kib * KiB, rng)
         for index in range(config.tasks)
     }
-
-
-def _advance(clock: SimClock, injector: FaultInjector, t: float) -> None:
-    clock.advance_to(t)
-    injector.advance_to(clock.now)
 
 
 def _drive_flusher(proc, clock: SimClock, injector: FaultInjector) -> None:
@@ -261,7 +252,7 @@ def run_crash_recovery(
             return run_crash_recovery(plan, config, tmp, seed)
     recovery_dir = Path(recovery_dir)
     if seed is None:
-        seed = _default_seed()
+        seed = default_seed()
     hierarchy = _crash_hierarchy(config)
     clock = SimClock()
     fault_plan = FaultPlan(seed=plan.seed if plan is not None else 0).outage(
@@ -508,7 +499,7 @@ def sweep_crash_sites(
         config, scrub=True, corrupt_every=1, lifecycle=False
     )
     if seed is None:
-        seed = _default_seed()
+        seed = default_seed()
     outcomes = []
     for index, site in enumerate(sites):
         for hit in hits:

@@ -57,8 +57,8 @@ from ..shard.manifest import read_manifest
 from ..sim.clock import SimClock
 from ..units import KiB
 from ..workloads.vpic import vpic_sample
+from .chaos import default_seed
 from .crash import CrashOutcome
-from .overload import _default_seed
 from .shard_chaos import _storm_specs
 
 __all__ = [
@@ -269,7 +269,7 @@ def run_failover_chaos(
         with tempfile.TemporaryDirectory(prefix="hcompress-failover-") as tmp:
             return run_failover_chaos(config, tmp, seed)
     if seed is None:
-        seed = _default_seed()
+        seed = default_seed()
     clock = SimClock()
     crashpoints = (
         Crashpoints(CrashPlan(site=config.crash_site, hit=config.crash_hit))

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from ..ccp import SeedData
-from ..core import HCompress, HCompressConfig, HCompressProfiler
+from ..core import HCompress, HCompressConfig
 from ..core.config import RecoveryConfig
 from ..errors import (
     AllTiersUnavailableError,
@@ -47,6 +47,7 @@ from ..sim.clock import SimClock
 from ..tiers import StorageHierarchy, ares_hierarchy
 from ..units import KiB
 from ..workloads.vpic import vpic_sample
+from .chaos import default_seed
 from .injector import FaultInjector
 from .plan import FaultPlan
 
@@ -199,11 +200,6 @@ class OverloadOutcome:
         )
 
 
-def _default_seed() -> SeedData:
-    profiler = HCompressProfiler(rng=np.random.default_rng(0))
-    return profiler.quick_seed(sizes=(8 * KiB, 32 * KiB))
-
-
 def _storm_hierarchy(config: OverloadConfig) -> StorageHierarchy:
     """RAM holds a handful of buffers (so the flapped tier carries real
     traffic and failover has somewhere to go); lower tiers fit the storm."""
@@ -245,7 +241,7 @@ def run_overload(
         with tempfile.TemporaryDirectory(prefix="hcompress-overload-") as tmp:
             return run_overload(config, tmp, seed)
     if seed is None:
-        seed = _default_seed()
+        seed = default_seed()
     hierarchy = _storm_hierarchy(config)
     clock = SimClock()
     fault_plan = _flap_plan(config)

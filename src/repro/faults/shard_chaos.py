@@ -39,7 +39,7 @@ from ..sim.clock import SimClock
 from ..tiers import ares_specs
 from ..units import KiB
 from ..workloads.vpic import vpic_sample
-from .overload import _default_seed
+from .chaos import default_seed
 
 __all__ = ["ShardChaosConfig", "ShardChaosOutcome", "run_shard_chaos"]
 
@@ -203,7 +203,7 @@ def run_shard_chaos(
         with tempfile.TemporaryDirectory(prefix="hcompress-shard-") as tmp:
             return run_shard_chaos(config, tmp, seed)
     if seed is None:
-        seed = _default_seed()
+        seed = default_seed()
     clock = SimClock()
     sharded = ShardedHCompress(
         _storm_specs(config),

@@ -542,24 +542,6 @@ class HcdpEngine:
         """A stateful per-batch planning context (see :class:`BatchPlanner`)."""
         return BatchPlanner(self)
 
-    def plan_batch(self, tasks: list[IOTask]) -> list[Schema]:
-        """Plan a sequence of write tasks through the batch fast path.
-
-        Produces exactly the schemas — and the same engine/cache counters
-        — that ``[self.plan(t) for t in tasks]`` would, but samples the
-        monitor raw, reuses the previous task's plan outright when the
-        planning signature repeats, and warms all ECC candidate tables
-        with a single vectorized predict_batch call up front. Falls back
-        to the per-task path entirely when the fast path's preconditions
-        do not hold.
-        """
-        tasks = list(tasks)
-        if not self.batch_fast_path_ok():
-            return [self.plan(task) for task in tasks]
-        self.prefetch_candidates(tasks)
-        planner = self.batch_planner()
-        return [planner.plan(task) for task in tasks]
-
     def _sync_cache_generation(self) -> None:
         """Flush the plan cache when the world it was built against moved.
 

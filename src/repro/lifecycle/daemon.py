@@ -8,24 +8,14 @@ against the :class:`~repro.lifecycle.cost.TierCostModel` objective, and
 migrates the biggest savers — hot blobs up, re-encoded with a fast codec;
 cold blobs down, re-encoded with a heavy one.
 
-Migrations ride the engine's existing durability machinery
-(docs/LIFECYCLE.md has the full crash argument):
-
-1. **copy** — every piece is re-encoded and placed on the destination
-   tier under a *new* key (``task/gN/i``), while the catalog and journal
-   still reference the old keys. A crash here strands the new copies as
-   orphans, which recovery's sweep reclaims; the blob stays readable at
-   the source.
-2. **journal** — one idempotent ``commit`` record re-points the task at
-   the new entries, durable *before* the in-memory catalog mutates (the
-   same WAL discipline as writes). A crash after the sync replays the new
-   placement and strands the *old* keys as orphans instead.
-3. **evict** — the old extents are released. A crash mid-loop leaves the
-   remainder as orphans; either way exactly one readable copy survives.
-
-Four crash sites (``lifecycle.pre_copy`` / ``post_copy`` /
-``post_journal`` / ``post_evict``) pin those windows for the
-``sweep_crash_sites`` harness.
+Migrations ride the engine's existing durability machinery: the daemon
+only decides *what* moves *where*; the copy -> journal re-point -> evict
+choreography, its rollback and its crash argument are
+:meth:`CompressionManager.relocate
+<repro.core.manager.CompressionManager.relocate>` (docs/LIFECYCLE.md).
+Four crash sites (``lifecycle.pre_copy`` here, ``post_copy`` /
+``post_journal`` / ``post_evict`` inside ``relocate``) pin the windows
+for the ``sweep_crash_sites`` harness.
 
 The daemon is strictly cooperative: it runs only when :meth:`step` is
 called, self-rate-limits to ``scan_interval``, caps migrations per step,
@@ -38,12 +28,12 @@ from __future__ import annotations
 
 import math
 import time
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from ..codecs.metadata import HEADER_SIZE, unwrap_payload, wrap_payload
-from ..errors import CapacityError, CorruptDataError, TierError
-from ..hashing import content_hash64
+from ..codecs.metadata import HEADER_SIZE
+from ..errors import TierError
+# Unused here since relocate() verifies; benchmarks/e2e/tracing.py wraps the name.
+from ..hashing import content_hash64  # noqa: F401
 from .config import LifecycleConfig
 from .cost import TierCostModel
 
@@ -107,10 +97,9 @@ class LifecycleDaemon:
     Constructed by :class:`~repro.core.hcompress.HCompress` when
     ``LifecycleConfig.enabled`` — engines with the subsystem off hold
     ``None`` and stay byte-identical. The daemon only reads the engine's
-    public surfaces (catalog helpers, hierarchy, pool, journal via the
-    manager, QoS governor read-only) and mutates placement exclusively
-    through the manager's WAL-disciplined
-    :meth:`~repro.core.manager.CompressionManager.replace_task_entries`.
+    public surfaces (catalog helpers, hierarchy, pool, QoS governor
+    read-only) and mutates placement exclusively through the manager's
+    :meth:`~repro.core.manager.CompressionManager.relocate`.
     """
 
     def __init__(self, engine, config: LifecycleConfig) -> None:
@@ -345,143 +334,46 @@ class LifecycleDaemon:
     # -- migration executor ---------------------------------------------------
 
     def _migrate(self, plan: Migration) -> Migration | None:
-        """Execute one migration under the crash discipline above.
+        """Hand one planned migration to ``relocate``: every piece to the
+        destination tier, re-encoded with the planned codec.
 
         Returns the realized migration (actual bytes/seconds), or ``None``
-        when the move lost a race (capacity changed, piece vanished) — the
-        copy phase rolls itself back and the blob stays where it was.
-        ``SimulatedCrashError`` deliberately propagates: it models process
-        death, and the recovery sweeps must clean up whatever it strands.
+        when the move lost a race (capacity changed, piece vanished) or
+        hit corruption — ``relocate`` rolled the copies back and the blob
+        stays where it was.
         """
         # Imported here, not at module scope: core.config carries a
         # LifecycleConfig field, so a top-level import would be circular.
-        from ..core.manager import CatalogEntry
+        from ..core.manager import Move
 
         engine = self.engine
-        manager = engine.manager
-        hierarchy = engine.hierarchy
-        crashpoints = engine.crashpoints
         try:
-            entries = manager.task_entries(plan.task_id)
+            entries = engine.manager.task_entries(plan.task_id)
         except TierError:
             return None
-        dst = hierarchy.by_name(plan.dst_tier)
-        generation = self._next_generation(plan.task_id, entries)
-
-        if crashpoints is not None:
-            crashpoints.reached("lifecycle.pre_copy")
-        placed: list[str] = []
-        new_entries: list[CatalogEntry] = []
-        sources = []
-        seconds = 0.0
-        moved = 0
-        try:
-            for index, entry in enumerate(entries):
-                src = hierarchy.find(entry.key)
-                if src is None:
-                    raise TierError(f"piece {entry.key!r} lost from every tier")
-                sources.append(src)
-                extent = src.extent(entry.key)
-                new_key = f"{plan.task_id}/g{generation}/{index}"
-                if extent.has_payload:
-                    blob = src.get(entry.key)
-                    if entry.crc32 is not None and zlib.crc32(blob) != entry.crc32:
-                        raise CorruptDataError(
-                            f"piece {entry.key!r} failed checksum validation "
-                            "during migration"
-                        )
-                    data, header = unwrap_payload(blob)
-                    if (
-                        entry.digest is not None
-                        and content_hash64(data) != entry.digest
-                    ):
-                        raise CorruptDataError(
-                            f"piece {entry.key!r} failed content-digest "
-                            "validation during migration"
-                        )
-                    new_blob, _ = wrap_payload(
-                        data,
-                        start_offset=header.start_offset,
-                        codec_name=plan.new_codec,
-                    )
-                    accounted = len(new_blob)
-                    crc = (
-                        zlib.crc32(new_blob)
-                        if entry.crc32 is not None
-                        else None
-                    )
-                    payload: bytes | None = new_blob
-                else:
-                    # Modeled piece (no payload to transcode): re-size by
-                    # the same relative-ratio estimate the scan used.
-                    accounted = self._estimate_stored(
-                        [entry], extent.accounted_size,
-                        entry.codec, plan.new_codec,
-                    )
-                    payload = None
-                    crc = None
-                seconds += src.io_seconds(extent.accounted_size)
-                seconds += dst.io_seconds(accounted)
-                dst.put(new_key, payload, accounted_size=accounted)
-                placed.append(new_key)
-                moved += accounted
-                new_entries.append(
-                    # The re-encode changes the stored bytes (codec, CRC)
-                    # but never the content — the end-to-end digest rides
-                    # along unchanged.
-                    CatalogEntry(
-                        new_key, entry.length, plan.new_codec, crc,
-                        entry.digest,
-                    )
+        dst = (engine.hierarchy.by_name(plan.dst_tier),)
+        moves = []
+        for index, entry in enumerate(entries):
+            src = engine.hierarchy.find(entry.key)
+            extent = src.extent(entry.key) if src is not None else None
+            accounted = None
+            if extent is not None and not extent.has_payload:
+                # Modeled piece (no payload to transcode): re-size by
+                # the same relative-ratio estimate the scan used.
+                accounted = self._estimate_stored(
+                    [entry], extent.accounted_size, entry.codec,
+                    plan.new_codec,
                 )
-        except (TierError, CapacityError, CorruptDataError):
-            # Lost a race (the scan's fits() estimate went stale, a tier
-            # flapped, a piece moved) or hit corruption: roll the
-            # half-copied migration back; the blob stays where it was.
-            for key in placed:
-                dst.evict(key)
+            moves.append(Move(index, dst, plan.new_codec, accounted=accounted))
+        if engine.crashpoints is not None:
+            engine.crashpoints.reached("lifecycle.pre_copy")
+        done = engine.manager.relocate(plan.task_id, moves, cause="lifecycle")
+        if done is None:
             return None
-        if crashpoints is not None:
-            crashpoints.reached("lifecycle.post_copy")
-
-        # WAL discipline: the journal re-points the task before the
-        # in-memory catalog does (lifecycle.post_journal fires between).
-        manager.replace_task_entries(plan.task_id, new_entries)
-
-        for entry, src in zip(entries, sources):
-            src.evict(entry.key)
-        if crashpoints is not None:
-            crashpoints.reached("lifecycle.post_evict")
-        return Migration(
-            task_id=plan.task_id,
-            src_tier=plan.src_tier,
-            dst_tier=plan.dst_tier,
-            old_codec=plan.old_codec,
-            new_codec=plan.new_codec,
-            direction=plan.direction,
-            bytes_moved=moved,
-            modeled_seconds=seconds,
-            saving_rate=plan.saving_rate,
+        return replace(
+            plan, bytes_moved=done.bytes_moved,
+            modeled_seconds=done.modeled_seconds,
         )
-
-    @staticmethod
-    def _next_generation(task_id: str, entries: list[CatalogEntry]) -> int:
-        """Migration generation for fresh piece keys.
-
-        Keys must never collide with live extents: originals are
-        ``task/N``, generation ``g`` rewrites are ``task/gG/N``. Parsing
-        the current keys (instead of counting in daemon state) keeps the
-        scheme deterministic across restores, where recovery has already
-        swept every non-catalog key off the tiers.
-        """
-        generation = 0
-        prefix = f"{task_id}/g"
-        for entry in entries:
-            if entry.key.startswith(prefix):
-                tail = entry.key[len(prefix):].split("/", 1)[0]
-                if tail.isdigit():
-                    generation = max(generation, int(tail))
-        return generation + 1
 
     # -- status ---------------------------------------------------------------
 

@@ -21,10 +21,12 @@ On a mismatch it repairs in escalating order (docs/INTEGRITY.md):
    replica source (the scrub-chaos harness wires it to a mirror of the
    standby's shipped state).
 
-A blob healed from rung 2/3 is rewritten under a *new* generation key
-with the write path's WAL discipline — copy, idempotent journal
-re-point, evict — pinned by the swept ``scrub.pre_repair`` /
-``scrub.post_copy`` / ``scrub.post_journal`` / ``scrub.post_evict``
+A blob healed from rung 2/3 is rewritten under a *new* generation key by
+:meth:`CompressionManager.relocate
+<repro.core.manager.CompressionManager.relocate>` — the same copy ->
+journal re-point -> evict choreography as a lifecycle migration, pinned
+by the swept ``scrub.pre_repair`` (here) / ``scrub.post_copy`` /
+``scrub.post_journal`` / ``scrub.post_evict`` (inside ``relocate``)
 crash sites, so a crash at any instant leaves exactly one readable copy.
 Only when every rung is exhausted is the piece quarantined: further
 reads fail fast with :class:`~repro.errors.IntegrityError` instead of
@@ -36,8 +38,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ..errors import CapacityError, TierError
-from ..lifecycle.daemon import LifecycleDaemon
+from ..errors import TierError
 from .config import ScrubConfig
 from .fsck import validate_entry
 
@@ -84,7 +85,7 @@ class Scrubber:
     ``None`` and stay byte-identical. Reads go through the public
     :class:`~repro.tiers.Tier` API (so injected faults apply to scrub
     traffic like any other) and placement mutates exclusively through
-    the manager's WAL-disciplined ``replace_task_entries``.
+    the manager's ``relocate``.
     """
 
     def __init__(self, engine, config: ScrubConfig) -> None:
@@ -296,76 +297,28 @@ class Scrubber:
                 task_id, entry.key, "", tier.spec.name, "", "quarantined",
                 seconds,
             )
-        return self._rewrite(task_id, index, entry, tier, good, source, seconds)
 
-    def _rewrite(
-        self, task_id, index, entry, tier, good: bytes, source: str,
-        seconds: float,
-    ) -> Repair | None:
-        """Persist a healed blob under a new key with WAL discipline.
+        # Persist the healed bytes under a new key. Prefer healing in
+        # place (same tier); fall back to any tier with room — data
+        # safety outranks placement, and the lifecycle daemon can re-tier
+        # the blob later.
+        from ..core.manager import Move  # core.config imports ScrubConfig
 
-        Copy -> journal re-point -> evict, exactly the lifecycle
-        migration choreography, so a crash at any of the ``scrub.*``
-        sites leaves each blob readable at exactly one place after
-        recovery's orphan sweep.
-        """
-        # Imported here, not at module scope: core.config carries a
-        # ScrubConfig field, so a top-level import would be circular.
-        from ..core.manager import CatalogEntry
-
-        engine = self.engine
-        manager = engine.manager
-        crashpoints = engine.crashpoints
-        entries = manager.task_entries(task_id)
-        generation = LifecycleDaemon._next_generation(task_id, entries)
-        new_key = f"{task_id}/g{generation}/{index}"
-
-        # Prefer healing in place (same tier); fall back to any tier with
-        # room — data safety outranks placement, and the lifecycle daemon
-        # can re-tier the blob later.
-        target = None
-        for candidate in [tier] + [
-            t for t in engine.hierarchy if t is not tier
-        ]:
-            if candidate.available and candidate.fits(len(good)):
-                target = candidate
-                break
-        if target is None:
+        targets = (tier, *(t for t in engine.hierarchy if t is not tier))
+        done = manager.relocate(
+            task_id, [Move(index, targets, blob=good)], cause="scrub"
+        )
+        if done is None:
             self.stats.failed += 1
             self._step_seconds += seconds
             return None
-        try:
-            target.put(new_key, good)
-        except (TierError, CapacityError):
-            self.stats.failed += 1
-            self._step_seconds += seconds
-            return None
-        seconds += target.io_seconds(len(good))
-        if crashpoints is not None:
-            crashpoints.reached("scrub.post_copy")
-
-        new_entries = list(entries)
-        new_entries[index] = CatalogEntry(
-            new_key, entry.length, entry.codec, entry.crc32, entry.digest
-        )
-        manager.replace_task_entries(
-            task_id, new_entries, crash_site="scrub.post_journal"
-        )
-
-        # Release the rotten extent — and any stray same-key survivors,
-        # which the re-point just turned into orphans.
-        for holder in engine.hierarchy:
-            if entry.key in holder:
-                holder.evict(entry.key)
-        if crashpoints is not None:
-            crashpoints.reached("scrub.post_evict")
-        manager.clear_quarantine(entry.key)
+        seconds += done.modeled_seconds
         self.stats.repairs += 1
         self.stats.rewrites += 1
         self._step_seconds += seconds
         return Repair(
-            task_id, entry.key, new_key, target.spec.name, source, "healed",
-            seconds,
+            task_id, entry.key, done.keys[0], done.tiers[0], source,
+            "healed", seconds,
         )
 
     # -- status ---------------------------------------------------------------

@@ -303,24 +303,18 @@ class ShardedHCompress:
         overrides it as the key, pinning all of a tenant's tasks to one
         shard and scoping QoS admission to that tenant on that shard.
         """
-        self._check_open()
-        tid = task.task_id if task is not None else (task_id or next_task_id())
-        shard_id = self.ring.route(self.route_key(tid, tenant))
-        self.supervisor.sweep()
-        self._service_failovers()
-        self.supervisor.ensure_up(shard_id)
-        engine = self.engine(shard_id)
+        item = {
+            "data": data, "task": task, "hints": hints,
+            "modeled_size": modeled_size, "task_id": task_id,
+        }
+        return self.compress_batch(
+            [item], deadline=deadline, qos_class=qos_class, tenant=tenant
+        )[0]
+
+    def _dispatch(self, shard_id: int, call, *args, **kwargs):
+        """Run one engine call, mapping its failure to the shard's health."""
         try:
-            result = engine.compress(
-                data,
-                task=task,
-                hints=hints,
-                modeled_size=modeled_size,
-                task_id=None if task is not None else tid,
-                deadline=deadline,
-                qos_class=qos_class,
-                tenant=tenant,
-            )
+            return call(*args, **kwargs)
         except QosError:
             # Policy rejection: the shard's machinery worked correctly.
             self.supervisor.record_outcome(shard_id, ok=True)
@@ -332,12 +326,6 @@ class ShardedHCompress:
         except TierError:
             self.supervisor.record_outcome(shard_id, ok=False)
             raise
-        self.supervisor.record_outcome(shard_id, ok=True)
-        self._owners[tid] = shard_id
-        self.busy_seconds[shard_id] += (
-            result.compress_seconds + result.io_seconds
-        )
-        return result
 
     def decompress(
         self,
@@ -354,18 +342,10 @@ class ShardedHCompress:
         self.supervisor.sweep()
         self._service_failovers()
         self.supervisor.ensure_up(shard_id)
-        engine = self.engine(shard_id)
-        try:
-            result = engine.decompress(task_id, offset, length, deadline)
-        except QosError:
-            self.supervisor.record_outcome(shard_id, ok=True)
-            raise
-        except SimulatedCrashError:
-            self._abandon(shard_id, "crashed")
-            raise
-        except TierError:
-            self.supervisor.record_outcome(shard_id, ok=False)
-            raise
+        result = self._dispatch(
+            shard_id, self.engine(shard_id).decompress,
+            task_id, offset, length, deadline,
+        )
         self.supervisor.record_outcome(shard_id, ok=True)
         self.busy_seconds[shard_id] += (
             result.decompress_seconds + result.io_seconds
@@ -395,36 +375,20 @@ class ShardedHCompress:
         """
         self._check_open()
         specs: list[dict] = []
-        tids: list[str] = []
         keys: list[str] = []
         for item in items:
-            if isinstance(item, IOTask):
-                specs.append({"task": item})
-                tids.append(item.task_id)
-                keys.append(self.route_key(item.task_id, tenant))
-            elif isinstance(item, (bytes, bytearray, memoryview)):
-                tid = next_task_id()
-                specs.append({"data": bytes(item), "task_id": tid})
-                tids.append(tid)
-                keys.append(self.route_key(tid, tenant))
-            elif isinstance(item, dict):
-                spec = dict(item)
-                task = spec.get("task")
-                if task is not None:
-                    tid = task.task_id
-                else:
-                    tid = spec.get("task_id") or next_task_id()
-                    spec["task_id"] = tid
-                tids.append(tid)
-                # A dict item may carry its own tenant, routing exactly
-                # like the per-task loop's compress(..., tenant=...).
-                keys.append(self.route_key(tid, spec.get("tenant", tenant)))
-                specs.append(spec)
+            # Validated here so a malformed item fails the whole batch
+            # before any shard has written anything.
+            spec = dict(HCompress._write_spec(item))
+            task = spec.get("task")
+            if task is not None:
+                tid = task.task_id
             else:
-                raise HCompressError(
-                    "compress_batch items must be bytes, IOTask, or dicts "
-                    f"of compress() kwargs, got {type(item).__name__}"
-                )
+                tid = spec["task_id"] = spec.get("task_id") or next_task_id()
+            # A dict item may carry its own tenant, routing exactly
+            # like the per-task loop's compress(..., tenant=...).
+            keys.append(self.route_key(tid, spec.get("tenant", tenant)))
+            specs.append(spec)
         route = self.ring.route
         groups: dict[int, list[int]] = {}
         for index, key in enumerate(keys):
@@ -435,23 +399,11 @@ class ShardedHCompress:
             self.supervisor.ensure_up(shard_id)
         results: list[WriteResult | None] = [None] * len(specs)
         for shard_id, indices in groups.items():
-            engine = self.engine(shard_id)
-            try:
-                shard_results = engine.compress_batch(
-                    [specs[i] for i in indices],
-                    deadline=deadline,
-                    qos_class=qos_class,
-                    tenant=tenant,
-                )
-            except QosError:
-                self.supervisor.record_outcome(shard_id, ok=True)
-                raise
-            except SimulatedCrashError:
-                self._abandon(shard_id, "crashed")
-                raise
-            except TierError:
-                self.supervisor.record_outcome(shard_id, ok=False)
-                raise
+            shard_results = self._dispatch(
+                shard_id, self.engine(shard_id).compress_batch,
+                [specs[i] for i in indices],
+                deadline=deadline, qos_class=qos_class, tenant=tenant,
+            )
             owners = self._owners
             busy = self.busy_seconds[shard_id]
             for index, result in zip(indices, shard_results):
@@ -490,20 +442,10 @@ class ShardedHCompress:
             self.supervisor.ensure_up(shard_id)
         results: list[ReadResult | None] = [None] * len(task_ids)
         for shard_id, indices in groups.items():
-            engine = self.engine(shard_id)
-            try:
-                shard_results = engine.decompress_batch(
-                    [task_ids[i] for i in indices], deadline=deadline
-                )
-            except QosError:
-                self.supervisor.record_outcome(shard_id, ok=True)
-                raise
-            except SimulatedCrashError:
-                self._abandon(shard_id, "crashed")
-                raise
-            except TierError:
-                self.supervisor.record_outcome(shard_id, ok=False)
-                raise
+            shard_results = self._dispatch(
+                shard_id, self.engine(shard_id).decompress_batch,
+                [task_ids[i] for i in indices], deadline=deadline,
+            )
             busy = self.busy_seconds[shard_id]
             for index, result in zip(indices, shard_results):
                 results[index] = result

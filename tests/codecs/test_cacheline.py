@@ -10,7 +10,6 @@ these codecs for RAM-tier pieces.
 from __future__ import annotations
 
 import random
-import struct
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from repro.codecs import (
     SubTaskHeader,
     get_codec,
     pack_headers,
-    unpack_headers,
 )
 from repro.codecs.cacheline import (
     bdi_decode,
@@ -29,7 +27,7 @@ from repro.codecs.cacheline import (
     fpc_decode,
     fpc_encode,
 )
-from repro.errors import CodecError, CorruptDataError, SchemaError
+from repro.errors import CodecError, CorruptDataError
 
 SEED = 0xCAC4E11
 CODECS = ("bdi", "fpc")
@@ -197,24 +195,6 @@ def test_pack_headers_matches_sequential() -> None:
     headers = _headers()
     assert pack_headers(headers) == b"".join(h.pack() for h in headers)
     assert pack_headers([]) == b""
-
-
-def test_unpack_headers_matches_sequential() -> None:
-    headers = _headers()
-    blobs = [h.pack() + bytes(h.resulting_size) for h in headers]
-    assert unpack_headers(blobs) == [
-        SubTaskHeader.unpack(blob) for blob in blobs
-    ]
-    assert unpack_headers([]) == []
-
-
-def test_unpack_headers_bad_blob_raises_like_sequential() -> None:
-    good = _headers()[0]
-    bad = struct.pack("<IIII", 0, 16, 255, 16)  # unregistered codec id
-    with pytest.raises(SchemaError):
-        unpack_headers([good.pack(), bad])
-    with pytest.raises(SchemaError):
-        unpack_headers([good.pack(), b"\x01"])  # short blob
 
 
 # -- pool wiring --------------------------------------------------------------

@@ -19,7 +19,7 @@ from repro.ccp import (
     ObservationKey,
 )
 from repro.core import HCompress
-from repro.core.config import HCompressConfig
+from repro.core.config import HCompressConfig, ObservabilityConfig, QosConfig
 from repro.errors import (
     CapacityError,
     HCompressError,
@@ -28,7 +28,8 @@ from repro.errors import (
     TierUnavailableError,
 )
 from repro.hcdp import IOTask
-from repro.tiers import Tier, TierSpec, ares_hierarchy
+from repro.shard import ShardConfig, ShardedHCompress
+from repro.tiers import Tier, TierSpec, ares_hierarchy, ares_specs
 from repro.units import KiB, MiB
 from repro.workloads import vpic_sample
 from repro.workloads.vpic import VPIC_HINTS
@@ -171,6 +172,46 @@ def test_compress_batch_rejects_unknown_item_types(engine) -> None:
         engine.compress_batch([42])
     with pytest.raises(HCompressError):
         engine.compress_batch([{"data": b"x" * 64, "task": object()}])
+
+
+ARMINGS = {
+    "bare": {},
+    "obs": {"observability": ObservabilityConfig(enabled=True)},
+    "qos": {"qos": QosConfig(enabled=True)},
+}
+
+
+@pytest.mark.parametrize("arming", [*ARMINGS, "sharded"])
+@pytest.mark.parametrize(
+    "bad", [{"hints": None}, 42, {"data": b"x" * 64, "task": object()}],
+    ids=["no-data-no-task", "not-an-item", "data-and-task"],
+)
+def test_compress_batch_validates_every_item_before_writing(
+    seed, arming, bad
+) -> None:
+    """A malformed item fails the batch before anything is admitted or
+    written — also on an armed engine (which used to validate lazily and
+    leave the items ahead of the bad one written) and across shards."""
+    if arming == "sharded":
+        engine = ShardedHCompress(
+            ares_specs(16 * MiB, 32 * MiB, 256 * MiB, nodes=2),
+            shard_config=ShardConfig(shards=2), seed=seed,
+        )
+        managers = [e.manager for e in engine.engines.values()]
+    else:
+        engine = HCompress(
+            ares_hierarchy(16 * MiB, 32 * MiB, 256 * MiB, nodes=2),
+            HCompressConfig(**ARMINGS[arming]), seed=seed,
+        )
+        managers = [engine.manager]
+    good = [{"data": b"y" * 4096, "task_id": f"ok.{i}"} for i in range(4)]
+    with engine:
+        with pytest.raises(HCompressError):
+            engine.compress_batch([*good, bad])
+        assert [m.task_ids() for m in managers] == [[] for _ in managers]
+        if arming == "qos":
+            assert engine.qos.admission.admitted == 0
+        assert len(engine.compress_batch(good)) == 4  # and is not wedged
 
 
 def test_compress_batch_accepts_mixed_item_forms(engine) -> None:

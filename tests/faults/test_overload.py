@@ -10,9 +10,9 @@ from repro.qos import QosClass
 
 @pytest.fixture(scope="module")
 def storm_seed():
-    from repro.faults.overload import _default_seed
+    from repro.faults.chaos import default_seed
 
-    return _default_seed()
+    return default_seed()
 
 
 @pytest.fixture(scope="module")

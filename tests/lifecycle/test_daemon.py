@@ -13,7 +13,6 @@ from repro.datagen import synthetic_buffer
 from repro.lifecycle import (
     AccessRecord,
     LifecycleConfig,
-    LifecycleDaemon,
     TierCostModel,
 )
 from repro.lifecycle.workload import (
@@ -303,14 +302,6 @@ class TestStatus:
         assert status["tracked_tasks"] == 1
         assert status["promote_codec"] in engine.pool
         engine.close()
-
-    def test_generation_keys_never_collide(self) -> None:
-        from repro.core.manager import CatalogEntry
-
-        fresh = [CatalogEntry("t/0", 10, "lz4", None)]
-        assert LifecycleDaemon._next_generation("t", fresh) == 1
-        migrated = [CatalogEntry("t/g3/0", 10, "lzma", None)]
-        assert LifecycleDaemon._next_generation("t", migrated) == 4
 
 
 class TestConfigValidation:
