@@ -17,7 +17,6 @@ from .base import (
 from .metadata import (
     HEADER_SIZE,
     SubTaskHeader,
-    pack_headers,
     unwrap_payload,
     wrap_payload,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "get_profile",
     "iter_codecs",
     "nominal_duration",
-    "pack_headers",
     "register_codec",
     "unwrap_payload",
     "wrap_payload",

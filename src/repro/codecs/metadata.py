@@ -11,9 +11,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from ..errors import SchemaError, UnknownCodecError
 from .base import get_codec
@@ -21,7 +18,6 @@ from .base import get_codec
 __all__ = [
     "SubTaskHeader",
     "HEADER_SIZE",
-    "pack_headers",
     "wrap_payload",
     "unwrap_payload",
 ]
@@ -111,26 +107,6 @@ def wrap_payload(
         resulting_size=len(payload),
     )
     return header.pack() + payload, header
-
-
-def pack_headers(headers: Sequence[SubTaskHeader]) -> bytes:
-    """Vectorised batch form of :meth:`SubTaskHeader.pack`.
-
-    Byte-compatible with the per-header path: the result equals
-    ``b"".join(h.pack() for h in headers)``. Fields were already validated
-    at header construction, so the whole batch reduces to one ``<u4``
-    array fill and a single ``tobytes()``.
-    """
-    if not headers:
-        return b""
-    arr = np.array(
-        [
-            (h.start_offset, h.length, h.codec_id, h.resulting_size)
-            for h in headers
-        ],
-        dtype="<u4",
-    )
-    return arr.tobytes()
 
 
 def unwrap_payload(blob: bytes) -> tuple[bytes, SubTaskHeader]:

@@ -100,6 +100,15 @@ class ExecutorConfig:
             raise ValueError("sample_cache_size must be >= 1")
 
 
+#: Retry backoff shape: the first retry waits ``BACKOFF_BASE`` (simulated)
+#: seconds, each further attempt doubles it up to ``BACKOFF_CAP``, and
+#: every wait is scaled by a seeded relative jitter of +/-25% so retry
+#: traces are replayable.
+BACKOFF_BASE = 0.002
+BACKOFF_CAP = 0.25
+BACKOFF_JITTER = 0.25
+
+
 @dataclass(frozen=True)
 class ResilienceConfig:
     """Fault-tolerance knobs for the resilient I/O paths.
@@ -107,20 +116,11 @@ class ResilienceConfig:
     Attributes:
         max_retries: Retry budget per operation for transient I/O errors
             (0 disables retrying entirely).
-        backoff_base: First retry's backoff in (simulated) seconds; each
-            subsequent attempt doubles it.
-        backoff_cap: Upper bound on a single backoff sleep.
-        jitter: Relative jitter applied to every backoff (0 = none,
-            0.25 = +/-25%). Drawn from a seeded RNG so retry traces are
-            replayable.
-        jitter_seed: Seed of that RNG.
+        jitter_seed: Seed of the backoff jitter's RNG.
         failover: Route a write whose planned tier is down/full to the
             next tier that fits (the SHI write-failover path).
         verify_checksums: Record a CRC32 per stored piece at write time
             and verify it on every read (corruption detection).
-        read_repair_retries: Extra re-reads attempted when a checksum
-            mismatch is detected before surfacing ``CorruptDataError``
-            (transient media/bus corruption heals on re-read).
         quarantine_after_repairs: Failed read-repair cycles tolerated for
             one piece before it is quarantined — subsequent reads fail
             fast with :class:`~repro.errors.IntegrityError` instead of
@@ -136,13 +136,9 @@ class ResilienceConfig:
     """
 
     max_retries: int = 3
-    backoff_base: float = 0.002
-    backoff_cap: float = 0.25
-    jitter: float = 0.25
     jitter_seed: int = 0
     failover: bool = True
     verify_checksums: bool = True
-    read_repair_retries: int = 2
     quarantine_after_repairs: int = 3
     retry_deadline: float | None = None
 
@@ -151,14 +147,6 @@ class ResilienceConfig:
             raise ValueError("max_retries must be >= 0")
         if self.retry_deadline is not None and self.retry_deadline <= 0:
             raise ValueError("retry_deadline must be positive (or None)")
-        if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise ValueError("backoff_base and backoff_cap must be >= 0")
-        if self.backoff_cap < self.backoff_base:
-            raise ValueError("backoff_cap must be >= backoff_base")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
-        if self.read_repair_retries < 0:
-            raise ValueError("read_repair_retries must be >= 0")
         if self.quarantine_after_repairs < 1:
             raise ValueError("quarantine_after_repairs must be >= 1")
 
@@ -167,10 +155,8 @@ class ResilienceConfig:
         seeded jitter, charged to the simulated clock by the caller."""
         if attempt < 1:
             raise ValueError("attempt is 1-based")
-        base = min(self.backoff_base * (2 ** (attempt - 1)), self.backoff_cap)
-        if self.jitter:
-            base *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-        return base
+        base = min(BACKOFF_BASE * (2 ** (attempt - 1)), BACKOFF_CAP)
+        return base * (1.0 + BACKOFF_JITTER * (2.0 * rng.random() - 1.0))
 
 
 @dataclass(frozen=True)

@@ -293,7 +293,7 @@ class HCompress:
         qos_class: QosClass | None = None,
         tenant: str | None = None,
     ) -> WriteResult:
-        """Compress-and-place one write task.
+        """Compress-and-place one write task: :meth:`compress_batch` of one.
 
         Either pass raw ``data`` (with optional analyzer ``hints`` and a
         ``modeled_size`` for representative-sample scaling) or a prebuilt
@@ -310,115 +310,11 @@ class HCompress:
         configured service class applies when ``qos_class`` is not given,
         and per-tenant backlog quotas count the task against its tenant.
         """
-        if self.obs is None:
-            return self._compress(
-                data, task=task, hints=hints, modeled_size=modeled_size,
-                task_id=task_id, deadline=deadline, qos_class=qos_class,
-                tenant=tenant,
-            )
-        with self.obs.region("hcompress.compress") as sp:
-            result = self._compress(
-                data, task=task, hints=hints, modeled_size=modeled_size,
-                task_id=task_id, deadline=deadline, qos_class=qos_class,
-                tenant=tenant,
-            )
-            sp.set_attr("task", result.task.task_id)
-            sp.set_attr("size", result.task.size)
-            sp.charge_modeled(result.compress_seconds + result.io_seconds)
-            self.obs.record_write(result)
-        return result
-
-    def _compress(
-        self,
-        data: bytes | None = None,
-        *,
-        task: IOTask | None = None,
-        hints: MetadataHints | None = None,
-        modeled_size: int | None = None,
-        task_id: str | None = None,
-        deadline: float | None = None,
-        qos_class: QosClass | None = None,
-        tenant: str | None = None,
-    ) -> WriteResult:
-        self._check_open()
-        scale = self.config.python_to_native
-        task = self._write_task(
-            self._write_spec(
-                {"data": data, "task": task, "hints": hints,
-                 "modeled_size": modeled_size, "task_id": task_id}
-            )
-        )
-
-        budget = deadline
-        if self.qos is not None:
-            # Admission + brownout happen before any planning work: a shed
-            # task must cost nothing beyond the analyzer pass.
-            self.qos.observe(self.monitor.status())
-            self.qos.admit(task.task_id, task.size, qos_class, tenant=tenant)
-            if budget is None:
-                budget = self.config.qos.default_deadline
-        dl = Deadline(budget, clock=self._clock) if budget is not None else None
-
-        try:
-            wall = time.perf_counter()
-            schema = self.engine.plan(task, **self._plan_constraints(dl))
-            self.anatomy.hcdp_engine += (time.perf_counter() - wall) / scale
-
-            wall = time.perf_counter()
-            for piece in schema.pieces:  # factory lookups (library selection)
-                self.pool.codec(piece.codec)
-            self.anatomy.library_selection += (
-                time.perf_counter() - wall
-            ) / scale
-
-            try:
-                result = self.manager.execute_write(schema, deadline=dl)
-            except (
-                TierUnavailableError, RetryExhaustedError, CapacityError,
-                TierError,
-            ):
-                # Degraded-mode replan (§IV-E): the plan was built against a
-                # stale SystemStatus — a tier flapped or filled between the
-                # monitor's sample and the write landing. The partial write
-                # was rolled back by the manager; take a fresh sample so the
-                # HCDP engine sees the outage (and any breaker quarantine)
-                # and plans around it, then re-execute.
-                wall = time.perf_counter()
-                self.monitor.sample()
-                schema = self.engine.plan(task, **self._plan_constraints(dl))
-                self.replans += 1
-                self.anatomy.hcdp_engine += (
-                    time.perf_counter() - wall
-                ) / scale
-                result = self.manager.execute_write(schema, deadline=dl)
-        except DeadlineExceededError:
-            if self.qos is not None:
-                self.qos.record_deadline_exceeded("write")
-            raise
-        if dl is not None and self.obs is not None:
-            self.obs.record_deadline_slack(
-                "write",
-                dl.remaining(result.compress_seconds + result.io_seconds),
-            )
-        result.schema = schema  # type: ignore[attr-defined]
-        self.anatomy.compression += result.compress_seconds
-        self.anatomy.write_io += result.io_seconds
-
-        wall = time.perf_counter()
-        if self.obs is not None:
-            with self.obs.region(
-                "ccp.feedback", events=len(result.observations)
-            ):
-                for observation in result.observations:
-                    self.feedback.record(observation)
-        else:
-            for observation in result.observations:
-                self.feedback.record(observation)
-        self.anatomy.feedback += (time.perf_counter() - wall) / scale
-        self.anatomy.write_ops += 1
-        if self.lifecycle is not None:
-            self.lifecycle.note_write(result.task.task_id)
-        return result
+        return self.compress_batch(
+            [{"data": data, "task": task, "hints": hints,
+              "modeled_size": modeled_size, "task_id": task_id}],
+            deadline=deadline, qos_class=qos_class, tenant=tenant,
+        )[0]
 
     def compress_batch(
         self,
@@ -430,6 +326,14 @@ class HCompress:
     ) -> list[WriteResult]:
         """Compress-and-place a batch of write tasks in submission order.
 
+        The one write driver: every task of every batch — of one or of
+        thousands, on a bare or a fully armed engine — takes the same
+        per-task step (:meth:`_write_step`), so planning, execution and
+        feedback interleave per task (a task's plan depends on the
+        capacity its predecessors consumed and on model updates their
+        feedback triggered) and catalogs, schemas, journals and telemetry
+        are identical however the tasks are grouped into calls.
+
         Each item is raw ``bytes``, a prebuilt :class:`IOTask`, or a dict
         of :meth:`compress` keyword arguments (``data``, ``hints``,
         ``modeled_size``, ``task_id``, ``tenant``). Every item is
@@ -438,181 +342,247 @@ class HCompress:
         ``tenant`` overrides the call-level one (it only matters with QoS
         active, or for routing in :class:`~repro.shard.ShardedHCompress`).
 
-        Catalog-, schema-, and telemetry-identical to calling
-        :meth:`compress` once per item: planning, execution, and feedback
-        still interleave per task (a task's plan depends on the capacity
-        its predecessors consumed and on model updates their feedback
-        triggered) — the batch form makes each stage cheaper, via the
-        engine's signature-keyed batch planner, one prefetched ECC table
-        pass per batch, and the manager's bulk ledger debits. With
-        observability, QoS, or a ``deadline`` active the batch degrades to
-        the instrumented per-task path.
+        A batch of more than one task without observability, QoS or a
+        ``deadline`` plans through the engine's signature-keyed batch
+        planner after one prefetched ECC table pass, and a clean step may
+        be continued by the run lane below, which copies its receipts for
+        the identical tasks that follow.
         """
         self._check_open()
         specs = [self._write_spec(item) for item in items]
-        if self.obs is not None or self.qos is not None or deadline is not None:
-            return [
-                # a dict item's own tenant wins over the call-level one
-                self.compress(
-                    **{"tenant": tenant, **spec},
-                    deadline=deadline, qos_class=qos_class,
-                )
-                for spec in specs
-            ]
-        scale = self.config.python_to_native
-        analysis_memo: dict[tuple[int, int], tuple] = {}
-        tasks = [self._write_task(spec, analysis_memo) for spec in specs]
-
-        planner = (
-            self.engine.batch_planner()
-            if self.engine.batch_fast_path_ok()
-            else None
-        )
-        if planner is not None:
+        total = len(specs)
+        planner = tasks = None
+        # A planner per call only pays for itself over several tasks, and
+        # QoS constraints / deadlines bypass the schema cache it signs.
+        if (
+            total > 1
+            and self.qos is None
+            and deadline is None
+            and self.engine.batch_fast_path_ok()
+        ):
+            planner = self.engine.batch_planner()
+            analysis_memo: dict[tuple[int, int], tuple] = {}
+            tasks = [self._write_task(spec, analysis_memo) for spec in specs]
             self.engine.prefetch_candidates(tasks)
         ctx = self.manager.batch_context()
+        step = self._write_step if self.obs is None else self._write_step_traced
         results: list[WriteResult] = []
-        anatomy = self.anatomy
-        pool_codec = self.pool.codec
-        engine_plan = self.engine.plan
-        execute_batched = self.manager.execute_write_batched
-        record = self.feedback.record
-        perf = time.perf_counter
-        # Run lane eligibility: the manager's bulk path must be open too
+        # Run lane eligibility: the manager's bulk body must be open too
         # (its gate inputs — obs, QoS, crash-points — cannot change
         # mid-batch, so one check covers the whole loop).
         run_gate = planner is not None and self.manager._batch_fastpath_ok()
         index = 0
-        total = len(tasks)
         while index < total:
-            task = tasks[index]
-            wall = perf()
-            schema = (
-                planner.plan(task) if planner is not None else engine_plan(task)
+            result = step(
+                specs[index], tasks[index] if tasks else None, planner, ctx,
+                deadline, qos_class, tenant,
             )
+            results.append(result)
+            index += 1
+            if run_gate and index < total:
+                run = self._write_run(tasks, index, result, planner, ctx)
+                results.extend(run)
+                index += len(run)
+        return results
+
+    def _write_step_traced(self, *args) -> WriteResult:
+        """:meth:`_write_step` inside its ``hcompress.compress`` region."""
+        with self.obs.region("hcompress.compress") as sp:
+            result = self._write_step(*args)
+            sp.set_attr("task", result.task.task_id)
+            sp.set_attr("size", result.task.size)
+            sp.charge_modeled(result.compress_seconds + result.io_seconds)
+            self.obs.record_write(result)
+        return result
+
+    def _write_step(
+        self, spec: dict, task: IOTask | None, planner, ctx,
+        deadline: float | None, qos_class: QosClass | None, tenant: str | None,
+    ) -> WriteResult:
+        """One task through the write pipeline — the only per-task write
+        code in the engine: analyse, admit, plan, select libraries,
+        execute (re-planning once in degraded mode), feed the cost model.
+
+        ``task`` is prebuilt when the batch planner needed the whole
+        batch up front; otherwise it is analysed here, inside the task's
+        own telemetry region.
+        """
+        scale = self.config.python_to_native
+        anatomy = self.anatomy
+        perf = time.perf_counter
+        if task is None:
+            task = self._write_task(spec)
+
+        budget = deadline
+        if self.qos is not None:
+            # Admission + brownout happen before any planning work: a shed
+            # task must cost nothing beyond the analyzer pass.
+            self.qos.observe(self.monitor.status())
+            self.qos.admit(
+                task.task_id, task.size, qos_class,
+                tenant=spec.get("tenant", tenant),  # the item's own wins
+            )
+            if budget is None:
+                budget = self.config.qos.default_deadline
+        dl = Deadline(budget, clock=self._clock) if budget is not None else None
+
+        try:
+            wall = perf()
+            if planner is not None:
+                schema = planner.plan(task)
+            else:
+                schema = self.engine.plan(task, **self._plan_constraints(dl))
             anatomy.hcdp_engine += (perf() - wall) / scale
 
             wall = perf()
             for piece in schema.pieces:  # factory lookups (library selection)
-                pool_codec(piece.codec)
+                self.pool.codec(piece.codec)
             anatomy.library_selection += (perf() - wall) / scale
 
             try:
-                result = execute_batched(schema, ctx)
+                result = self.manager.execute_write_batched(schema, ctx, dl)
             except (
                 TierUnavailableError, RetryExhaustedError, CapacityError,
                 TierError,
             ):
-                # Same degraded-mode replan as the per-task path: fresh
-                # sample, fresh plan, sequential re-execute.
+                # Degraded-mode replan (§IV-E): the plan was built against a
+                # stale SystemStatus — a tier flapped or filled between the
+                # monitor's sample and the write landing. The partial write
+                # was rolled back by the manager; take a fresh sample so the
+                # HCDP engine sees the outage (and any breaker quarantine)
+                # and plans around it, then re-execute.
                 if planner is not None:
                     planner.invalidate()
                 wall = perf()
                 self.monitor.sample()
-                schema = engine_plan(task)
+                schema = self.engine.plan(task, **self._plan_constraints(dl))
                 self.replans += 1
                 anatomy.hcdp_engine += (perf() - wall) / scale
-                result = self.manager.execute_write(schema)
-            if planner is not None:
-                planner.note_result(result)
-            result.schema = schema  # type: ignore[attr-defined]
-            anatomy.compression += result.compress_seconds
-            anatomy.write_io += result.io_seconds
+                result = self.manager.execute_write_batched(schema, ctx, dl)
+        except DeadlineExceededError:
+            if self.qos is not None:
+                self.qos.record_deadline_exceeded("write")
+            raise
+        if planner is not None:
+            planner.note_result(result)
+        if dl is not None and self.obs is not None:
+            self.obs.record_deadline_slack(
+                "write",
+                dl.remaining(result.compress_seconds + result.io_seconds),
+            )
+        result.schema = schema
+        anatomy.compression += result.compress_seconds
+        anatomy.write_io += result.io_seconds
 
-            wall = perf()
-            for observation in result.observations:
-                record(observation)
-            anatomy.feedback += (perf() - wall) / scale
-            anatomy.write_ops += 1
-            results.append(result)
-            index += 1
-
-            # -- run lane (DESIGN.md §12) --------------------------------
-            # A burst repeats one (size, analysis, sample) shape for many
-            # tasks. When the task just executed is a clean fast-path
-            # template and the planner can prove the next k identical
-            # tasks replan to the same plan (no band/clamp/pressure
-            # crossing), the per-task plan/debit/receipt cycle collapses:
-            # one bulk ledger debit per tier under a single rollback
-            # frame, receipts and feedback per task. A feedback flush
-            # inside the run stops it (the model changed), and the loop
-            # resumes per-task exactly where the sequential path would
-            # replan.
-            if (
-                not run_gate
-                or index >= total
-                or not planner._model_valid
-                or task.materialised
-                or getattr(schema, "_pieces_source", None) is None
+        wall = perf()
+        if self.obs is not None:
+            with self.obs.region(
+                "ccp.feedback", events=len(result.observations)
             ):
-                continue
-            scan = index
-            size = task.size
-            analysis = task.analysis
-            data = task.data
-            while scan < total:
-                peer = tasks[scan]
-                if (
-                    peer.size != size
-                    or peer.analysis is not analysis
-                    or peer.data is not data
-                    or peer.operation is not Operation.WRITE
-                ):
-                    break
-                scan += 1
-            if scan == index:
-                continue
-            count = min(scan - index, planner.run_quota(task, result))
-            obs_per_task = len(result.observations)
-            if obs_per_task:
-                # Stop the run strictly before a feedback flush could
-                # fire: the flush-triggering task replans per-task, where
-                # the model update lands between its plan and the next —
-                # exactly the sequential interleaving.
-                headroom = self.feedback.every_n - 1 - self.feedback.pending
-                count = min(count, headroom // obs_per_task)
-            if count <= 0:
-                continue
-            wall = perf()
-            emit = planner.emit_schema
-            run_schemas = [emit(t) for t in tasks[index:index + count]]
-            anatomy.hcdp_engine += (perf() - wall) / scale
-            wall = perf()
-            for piece in schema.pieces:  # library selection, once per run
-                pool_codec(piece.codec)
-            anatomy.library_selection += (perf() - wall) / scale
+                for observation in result.observations:
+                    self.feedback.record(observation)
+        else:
+            for observation in result.observations:
+                self.feedback.record(observation)
+        anatomy.feedback += (perf() - wall) / scale
+        anatomy.write_ops += 1
+        if self.lifecycle is not None:
+            self.lifecycle.note_write(task.task_id)
+        return result
 
-            run_results = self.manager._execute_write_run(run_schemas, ctx)
-            executed = len(run_results)
-            if not executed:
-                continue
-            planner.commit_run(executed, size)
-            # Every run result carries the template's modeled costs, so
-            # the per-task property sums collapse to two constants (the
-            # accumulation itself stays one addition per task — repeated
-            # float addition, bit-identical to the sequential path's).
-            comp_seconds = run_results[0].compress_seconds
-            io_seconds = run_results[0].io_seconds
-            comp_acc = anatomy.compression
-            io_acc = anatomy.write_io
-            for run_schema, run_result in zip(run_schemas, run_results):
-                run_result.schema = run_schema
-                comp_acc += comp_seconds
-                io_acc += io_seconds
-            anatomy.compression = comp_acc
-            anatomy.write_io = io_acc
-            wall = perf()
-            if obs_per_task:
-                # One bulk append: the run's results re-emit the
-                # template's observation objects, and the headroom clamp
-                # keeps the whole run below the flush cadence.
-                self.feedback.record_run(
-                    run_results[0].observations, executed
-                )
-            anatomy.feedback += (perf() - wall) / scale
-            anatomy.write_ops += executed
-            results.extend(run_results)
-            index += executed
+    def _write_run(
+        self, tasks: list[IOTask], index: int, template: WriteResult,
+        planner, ctx,
+    ) -> list[WriteResult]:
+        """The run lane (DESIGN.md §12): continue a clean step in bulk.
+
+        A burst repeats one (size, analysis, sample) shape for many
+        tasks. When ``template`` — the step just taken for
+        ``tasks[index - 1]`` — is a clean modeled write and the planner
+        can prove the next k identical tasks replan to the same plan (no
+        band/clamp/pressure crossing), their plan/debit/receipt cycles
+        collapse: the manager copies the template's receipts under each
+        task's keys with one ledger debit per tier, counters and
+        feedback fold in bulk. A feedback flush would end the run (the
+        model changed), so it stops strictly before one, and the driver
+        resumes per task exactly where the sequential path would replan.
+        Returns the run's results — empty when no run is provable.
+        """
+        task = template.task
+        schema = template.schema
+        if (
+            not planner._model_valid
+            or task.materialised
+            or schema._pieces_source is None
+        ):
+            return []
+        size = task.size
+        analysis = task.analysis
+        data = task.data
+        scan = index
+        total = len(tasks)
+        while scan < total:
+            peer = tasks[scan]
+            if (
+                peer.size != size
+                or peer.analysis is not analysis
+                or peer.data is not data
+                or peer.operation is not Operation.WRITE
+            ):
+                break
+            scan += 1
+        if scan == index:
+            return []
+        count = min(scan - index, planner.run_quota(task, template))
+        observations = template.observations
+        if observations:
+            # Stop the run strictly before a feedback flush could fire:
+            # the flush-triggering task replans per-task, where the model
+            # update lands between its plan and the next — exactly the
+            # sequential interleaving.
+            headroom = self.feedback.every_n - 1 - self.feedback.pending
+            count = min(count, headroom // len(observations))
+        if count <= 0:
+            return []
+        scale = self.config.python_to_native
+        anatomy = self.anatomy
+        perf = time.perf_counter
+        wall = perf()
+        emit = planner.emit_schema
+        schemas = [emit(t) for t in tasks[index:index + count]]
+        anatomy.hcdp_engine += (perf() - wall) / scale
+        wall = perf()
+        for piece in schema.pieces:  # library selection, once per run
+            self.pool.codec(piece.codec)
+        anatomy.library_selection += (perf() - wall) / scale
+
+        results = self.manager._execute_write_run(schemas, template, ctx)
+        executed = len(results)
+        if not executed:
+            return results
+        planner.commit_run(executed, size)
+        # Every run result carries the template's modeled costs, so the
+        # per-task property sums collapse to two constants (the
+        # accumulation itself stays one addition per task — repeated
+        # float addition, bit-identical to the sequential path's).
+        comp_seconds = template.compress_seconds
+        io_seconds = template.io_seconds
+        comp_acc = anatomy.compression
+        io_acc = anatomy.write_io
+        for run_schema, result in zip(schemas, results):
+            result.schema = run_schema
+            comp_acc += comp_seconds
+            io_acc += io_seconds
+        anatomy.compression = comp_acc
+        anatomy.write_io = io_acc
+        wall = perf()
+        if observations:
+            # One bulk append: the run's results re-emit the template's
+            # observation objects, and the headroom clamp keeps the whole
+            # run below the flush cadence.
+            self.feedback.record_run(observations, executed)
+        anatomy.feedback += (perf() - wall) / scale
+        anatomy.write_ops += executed
         if self.lifecycle is not None:
             for result in results:
                 self.lifecycle.note_write(result.task.task_id)

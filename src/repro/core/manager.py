@@ -46,6 +46,7 @@ from ..errors import (
 from ..hashing import content_hash64
 from ..hcdp.schema import Schema, SubTaskPlan
 from ..hcdp.task import IOTask
+from ..scrub.config import READ_REPAIR_RETRIES
 from ..scrub.fsck import validate_entry
 from ..units import MB
 from .config import ExecutorConfig
@@ -116,44 +117,18 @@ class _PreparedPiece(NamedTuple):
     digest: int | None = None  # content digest (None: digests off / modeled)
 
 
-class _ReusablePrep(NamedTuple):
-    """Per-(plans, sample, features) write prep, reusable across a batch.
-
-    ``plans`` pins the :class:`SubTaskPlan` objects referenced by the
-    identity-based reuse key so their ids stay valid for the session.
-    ``ratio_keys`` are the sample-ratio cache keys the sequential path
-    would have looked up — replayed on reuse so LRU recency and
-    hit counters stay byte-identical.
-    """
-
-    plans: tuple
-    prepared: list["_PreparedPiece"]
-    ratio_keys: tuple
-    comp_seconds: tuple
-    observations: tuple
-
-
 class _BatchWriteContext:
-    """Caches shared by every write of one batch session.
-
-    Holds one sample digest per distinct sample *object* (a burst reuses
-    the same representative buffer across every rank and timestep, so the
-    per-piece blake2b collapses to one hash per batch), one reusable
-    rollback frame so the fast write path never allocates a fresh undo
-    list per task, the prepared-piece reuse table (bursts replan to the
-    same shared plan tuple, so codec prep and receipts collapse to one
-    computation per distinct plan/sample pair), and a modeled-I/O-time
-    memo keyed on ``(tier level, accounted bytes, slowdown)``.
+    """The one cache a batch write session shares: a digest per distinct
+    sample *object*. A burst reuses one representative buffer across
+    every rank and timestep, so the sample-ratio lookups' blake2b
+    collapses to one hash per batch. Computed lazily — a task whose
+    pieces are all codec ``none`` never hashes.
     """
 
-    __slots__ = ("_digests", "rollback_frame", "prepared", "io_cache", "features")
+    __slots__ = ("_digests",)
 
     def __init__(self) -> None:
         self._digests: dict[int, tuple[bytes, bytes]] = {}
-        self.rollback_frame: list[tuple[int, str]] = []
-        self.prepared: dict[tuple, _ReusablePrep] = {}
-        self.io_cache: dict[tuple, float] = {}
-        self.features: dict[int, tuple] = {}
 
     def digest(self, sample: bytes) -> bytes:
         entry = self._digests.get(id(sample))
@@ -321,30 +296,30 @@ class CompressionManager:
 
     # -- write path ---------------------------------------------------------
 
-    def execute_write(self, schema: Schema, deadline=None) -> WriteResult:
+    def execute_write(self, schema: Schema, deadline=None, ctx=None) -> WriteResult:
         """Run a schema; returns accounting plus feedback observations.
 
         Atomic with respect to the catalog: if any piece fails to place
         (outage with failover disabled, retry budget exhausted) — or the
         optional :class:`~repro.qos.Deadline` budget runs out mid-task —
         every piece already written is rolled back so the caller can
-        replan and re-execute the task cleanly.
+        replan and re-execute the task cleanly. Every task of every
+        engine takes this per-piece body; ``ctx`` is the batch session
+        (:meth:`batch_context`) a driver threads through a batch.
         """
         if self.obs is None:
-            return self._execute_write(schema, deadline)
+            return self._execute_write(schema, deadline, ctx)
         with self.obs.region(
             "manager.execute_write",
             task=schema.task.task_id,
             pieces=len(schema.pieces),
         ) as sp:
-            result = self._execute_write(schema, deadline)
+            result = self._execute_write(schema, deadline, ctx)
             sp.set_attr("stored", result.total_stored)
             sp.charge_modeled(result.compress_seconds + result.io_seconds)
         return result
 
-    def _execute_write(
-        self, schema: Schema, deadline=None, _prepared=None
-    ) -> WriteResult:
+    def _execute_write(self, schema: Schema, deadline=None, ctx=None) -> WriteResult:
         task = schema.task
         if task.task_id in self._catalog:
             raise SchemaError(f"task {task.task_id!r} already written")
@@ -353,13 +328,7 @@ class CompressionManager:
         dtype, data_format, distribution = task.analysis.feature_key()
         feature_key = (dtype, data_format, distribution)
 
-        # Batch drivers hand over pieces they already prepared (the codec
-        # work is pure, so preparing ahead of execution changes nothing).
-        prepared = (
-            _prepared
-            if _prepared is not None
-            else self._prepare_pieces(schema, feature_key)
-        )
+        prepared = self._prepare_pieces(schema, feature_key, ctx)
         if self.crashpoints is not None:
             self.crashpoints.reached("manager.write.prepared")
         consumed = 0.0  # modeled seconds this task has spent so far
@@ -452,7 +421,7 @@ class CompressionManager:
         return result
 
     def _prepare_pieces(
-        self, schema: Schema, feature_key: tuple[str, str, str]
+        self, schema: Schema, feature_key: tuple[str, str, str], ctx=None
     ) -> list["_PreparedPiece"]:
         """Run every piece's *codec* work up front, in schema order.
 
@@ -491,7 +460,7 @@ class CompressionManager:
         for plan in schema.pieces:
             wall_start = time.perf_counter()
             measured_ratio = (
-                self._sample_ratio(sample, plan.codec, feature_key)
+                self._sample_ratio(sample, plan.codec, feature_key, ctx)
                 if sample
                 else plan.expected_ratio
             )
@@ -563,7 +532,7 @@ class CompressionManager:
         sample: bytes,
         codec_name: str,
         feature_key: tuple[str, str, str],
-        _digest: bytes | None = None,
+        ctx: "_BatchWriteContext | None" = None,
     ) -> float:
         """Measured ratio of ``codec_name`` on ``sample``, LRU-cached.
 
@@ -572,14 +541,15 @@ class CompressionManager:
         ``(codec, feature key, sample digest)`` keeps modeled runs
         O(codecs) in real compression work instead of O(pieces). Codec
         failures propagate — a roster member that cannot compress valid
-        bytes is a bug, not a condition to paper over. Batch sessions pass
-        the digest they already computed for this sample object.
+        bytes is a bug, not a condition to paper over. A batch session
+        (``ctx``) hashes each distinct sample object once, and only here —
+        after the ``none`` early return — so identity pieces never hash.
         """
         if codec_name == "none":
             return 1.0
         digest = (
-            _digest
-            if _digest is not None
+            ctx.digest(sample)
+            if ctx is not None
             else hashlib.blake2b(sample, digest_size=16).digest()
         )
         cache_key = (codec_name, feature_key, digest)
@@ -622,21 +592,20 @@ class CompressionManager:
     # -- batched write path (DESIGN.md §12) -----------------------------------
 
     def batch_context(self) -> "_BatchWriteContext":
-        """A fresh batch write session (shared digest cache + undo frame)."""
+        """A fresh batch write session (the shared sample-digest cache)."""
         return _BatchWriteContext()
 
-    def _batch_fastpath_ok(self, deadline=None) -> bool:
-        """Whether the uninstrumented bulk write path may run.
+    def _batch_fastpath_ok(self) -> bool:
+        """Whether the bulk run body may follow a clean template.
 
-        Observability regions, QoS breaker consultation, crash-point
-        sites, and deadline checks all fire *inside* the per-piece loop;
-        any of them present forces the per-task path so their side effects
-        happen at exactly the sequential sites.
+        Observability regions, QoS breaker consultation and crash-point
+        sites all fire *inside* the per-piece loop; any of them present
+        keeps every task on :meth:`_execute_write`, so their side effects
+        happen at exactly the per-task sites.
         """
         shi = self.shi
         return (
             self.obs is None
-            and deadline is None
             and self.crashpoints is None
             and shi.obs is None
             and shi.qos is None
@@ -653,266 +622,56 @@ class CompressionManager:
     def execute_write_batched(
         self, schema: Schema, ctx: "_BatchWriteContext", deadline=None
     ) -> WriteResult:
-        """One write inside a batch session (see :meth:`batch_context`),
-        for drivers that must interleave planning with execution (a
-        task's plan depends on the capacity its predecessors consumed)."""
-        if not self._batch_fastpath_ok(deadline):
-            return self.execute_write(schema, deadline)
-        task = schema.task
-        if task.materialised and task.data is not None:
-            return self._execute_write(schema)
-        return self._execute_write_fast(schema, ctx)
-
-    def _execute_write_fast(
-        self, schema: Schema, ctx: "_BatchWriteContext"
-    ) -> WriteResult:
-        """Bulk write path for one modeled task inside a batch session.
-
-        Replays the exact decision sequence of :meth:`_execute_write` —
-        ratio lookups, spill resolution, receipts — but resolves every
-        piece against a pending-delta view of the ledger first and then
-        lands each tier's pieces with one :meth:`~repro.tiers.Tier.put_many`
-        debit. Modeled pieces carry no payload, so placement can never hit
-        device fault injection; anything the dry run cannot guarantee —
-        planned tier down (the SHI's failover jurisdiction) or a piece
-        fitting no tier (the sequential path's partial-write rollback) —
-        delegates to :meth:`_execute_write` with the already-prepared
-        pieces, reproducing sequential behaviour including its partial
-        spill counts and typed errors.
-        """
-        task = schema.task
-        task_id = task.task_id
-        if task_id in self._catalog:
-            raise SchemaError(f"task {task_id!r} already written")
-        analysis = task.analysis
-        feature_entry = ctx.features.get(id(analysis))
-        if feature_entry is None or feature_entry[0] is not analysis:
-            feature_entry = (analysis, analysis.feature_key())
-            ctx.features[id(analysis)] = feature_entry
-        feature_key = feature_entry[1]
-        dtype, data_format, distribution = feature_key
-        sample = task.data
-        pieces = schema.pieces
-        digest = ctx.digest(sample) if sample else None
-
-        # Bursts replan to the *same* SubTaskPlan objects (the planner's
-        # caches hand out shared tuples — ``_pieces_source`` carries the
-        # cached tuple itself when the batch planner produced the
-        # schema), so the pure prep — ratio lookups, accounted sizes,
-        # nominal costs, observation records — collapses to one
-        # computation per distinct (plans, sample, features). Reuse
-        # replays exactly the sample-ratio cache traffic the sequential
-        # path would generate (one hit + recency touch per coded piece);
-        # if any key has been evicted since, fall through and recompute
-        # so the miss is charged at the sequential site.
-        ratios = self._sample_ratios
-        source = getattr(schema, "_pieces_source", None)
-        if source is not None:
-            reuse_key = (id(source), digest, feature_key)
-        else:
-            reuse_key = (tuple(map(id, pieces)), digest, feature_key)
-        entry = ctx.prepared.get(reuse_key)
-        if (
-            entry is not None
-            and (source is None or entry.plans is source)
-            and all(k in ratios for k in entry.ratio_keys)
-        ):
-            prepared = entry.prepared
-            for cache_key in entry.ratio_keys:
-                ratios.move_to_end(cache_key)
-            self.sample_cache_hits += len(entry.ratio_keys)
-        else:
-            prepared = []
-            ratio_keys = []
-            comp_seconds: list[float] = []
-            observations: list[CostObservation | None] = []
-            for plan in pieces:
-                wall_start = time.perf_counter()
-                codec_name = plan.codec
-                self.pool.codec(codec_name)  # library selection (factory path)
-                if sample:
-                    measured_ratio = self._sample_ratio(
-                        sample, codec_name, feature_key, _digest=digest
-                    )
-                    if codec_name != "none":
-                        ratio_keys.append((codec_name, feature_key, digest))
-                else:
-                    measured_ratio = plan.expected_ratio
-                accounted = HEADER_SIZE + max(
-                    1, math.ceil(plan.length / max(measured_ratio, 1e-9))
-                )
-                if codec_name != "none":
-                    profile = self.pool.profile(codec_name)
-                    comp_seconds.append(plan.length / (profile.compress_mbps * MB))
-                    observations.append(
-                        CostObservation(
-                            key=ObservationKey(
-                                dtype, data_format, distribution, codec_name,
-                                plan.length,
-                            ),
-                            compress_mbps=profile.compress_mbps,
-                            decompress_mbps=profile.decompress_mbps,
-                            ratio=max(measured_ratio, 1e-3),
-                        )
-                    )
-                else:
-                    comp_seconds.append(0.0)
-                    observations.append(None)
-                prepared.append(
-                    _PreparedPiece(
-                        blob=None,
-                        measured_ratio=measured_ratio,
-                        accounted=accounted,
-                        wall_seconds=time.perf_counter() - wall_start,
-                    )
-                )
-            entry = _ReusablePrep(
-                plans=source if source is not None else tuple(pieces),
-                prepared=prepared,
-                ratio_keys=tuple(ratio_keys),
-                comp_seconds=tuple(comp_seconds),
-                observations=tuple(observations),
-            )
-            ctx.prepared[reuse_key] = entry
-
-        hierarchy = self.shi.hierarchy
-        pending: dict[int, int] = {}
-        placements: list[tuple[int, bool]] = []
-        for plan, prep in zip(pieces, prepared):
-            level = plan.tier_level
-            tier = hierarchy[level]
-            if not tier._available:
-                # Outages are the SHI's jurisdiction (failover, typed
-                # errors): replay this task on the sequential path.
-                return self._execute_write(schema, _prepared=prepared)
-            remaining = tier.remaining
-            if (
-                remaining is None
-                or prep.accounted + pending.get(level, 0) <= remaining
-            ):
-                pending[level] = pending.get(level, 0) + prep.accounted
-                placements.append((level, False))
-                continue
-            for lower in range(level + 1, len(hierarchy)):
-                tier = hierarchy[lower]
-                if not tier._available:
-                    continue
-                remaining = tier.remaining
-                if (
-                    remaining is None
-                    or prep.accounted + pending.get(lower, 0) <= remaining
-                ):
-                    pending[lower] = pending.get(lower, 0) + prep.accounted
-                    placements.append((lower, True))
-                    break
-            else:
-                # Fits nowhere: sequential placed earlier pieces, counted
-                # their spills, rolled back and raised — replay it exactly.
-                return self._execute_write(schema, _prepared=prepared)
-
-        piece_key = self.shi.piece_key
-        keys = [piece_key(task_id, index) for index in range(len(pieces))]
-        by_tier: dict[int, list[tuple[str, bytes | None, int | None]]] = {}
-        for key, prep, (level, spilled) in zip(keys, prepared, placements):
-            if spilled:
-                self.spill_events += 1
-            by_tier.setdefault(level, []).append((key, None, prep.accounted))
-
-        placed = ctx.rollback_frame
-        placed.clear()
-        try:
-            for level, items in by_tier.items():
-                hierarchy[level].put_many(items)
-                placed.extend((level, item[0]) for item in items)
-        except TierError:  # pragma: no cover - dry run precludes this
-            for level, key in placed:
-                hierarchy[level].evict(key)
-            raise
-
-        result = WriteResult(task=task)
-        result_pieces = result.pieces
-        result_observations = result.observations
-        entries: list[CatalogEntry] = []
-        io_cache = ctx.io_cache
-        for plan, prep, key, (level, spilled), comp, obs in zip(
-            pieces, prepared, keys, placements,
-            entry.comp_seconds, entry.observations,
-        ):
-            tier = hierarchy[level]
-            entries.append(CatalogEntry(key, plan.length, plan.codec, None))
-            io_key = (level, prep.accounted, tier._slowdown)
-            io = io_cache.get(io_key)
-            if io is None:
-                io = tier.io_seconds(prep.accounted)
-                io_cache[io_key] = io
-            result_pieces.append(
-                PieceResult(
-                    plan=plan,
-                    key=key,
-                    tier=tier.spec.name,
-                    stored_size=prep.accounted,
-                    actual_ratio=prep.measured_ratio,
-                    compress_seconds=comp,
-                    io_seconds=io,
-                    wall_seconds=prep.wall_seconds,
-                    spilled=spilled,
-                    failover=False,
-                    retries=0,
-                )
-            )
-            if obs is not None:
-                result_observations.append(obs)
-        if self.journal is not None:
-            self.journal.commit("commit", task_id, tuple(entries))
-        self._catalog[task_id] = entries
-        return result
+        """:meth:`execute_write` inside a batch session (see
+        :meth:`batch_context`): the same per-piece body, with the
+        session's sample-digest cache behind its ratio lookups. Drivers
+        interleave it with planning — a task's plan depends on the
+        capacity its predecessors consumed."""
+        return self.execute_write(schema, deadline, ctx)
 
     def _execute_write_run(
-        self, schemas: list[Schema], ctx: "_BatchWriteContext"
+        self,
+        schemas: list[Schema],
+        template: WriteResult,
+        ctx: "_BatchWriteContext",
     ) -> list[WriteResult]:
-        """Write a run of identical modeled tasks with one bulk ledger debit.
+        """Write a run of modeled tasks identical to a just-written template.
 
-        The caller (the batch driver's run lane) guarantees every schema
-        shares the template's ``_pieces_source`` plan tuple, task size,
-        analysis, and sample, and that the planner's quota proved every
-        piece fits its planned tier for the whole run — so placement needs
-        no per-task dry run and each tier's debit lands as a single
-        :meth:`~repro.tiers.Tier.put_many` under one rollback frame.
-        Receipts, journal commits, and catalog assignments still happen
-        per task in order. Feedback is the caller's: the run length is
-        pre-clamped so no model update can fall inside it, and the
-        observations replay after the run in task order — the same
-        pending buffer a per-task loop would leave. Returns the executed
-        results (empty when the template's prep is not reusable, which
-        sends the caller back to the per-task path; short when a task id
-        repeats, so the per-task path surfaces the duplicate exactly).
+        The only bulk write body. The caller (the batch driver's run
+        lane) guarantees every schema shares the template's plan tuple,
+        task size, analysis and sample, and
+        :meth:`~repro.hcdp.engine.BatchPlanner.run_quota` proved every
+        piece fits its planned tier for the whole run and refused a
+        template that spilled, failed over, retried or left its planned
+        tier — so each run task's receipts are the template's
+        :class:`PieceResult` rows under its own keys. They are built
+        column-wise (one key / receipt / catalog-entry column per template
+        piece), each tier's debit lands as a single all-or-nothing
+        :meth:`~repro.tiers.Tier.put_many`, and the columns transpose to
+        per-task rows: journal commit, then catalog assignment, per task
+        in order. Feedback is the caller's: the run length is pre-clamped
+        so no model update can fall inside it. Returns the executed
+        results — empty when a sample-ratio entry the per-piece body
+        would hit has been evicted (the caller resumes per task, so the
+        miss is charged at its sequential site), short when a task id
+        repeats, so the per-piece body surfaces the duplicate exactly.
         """
-        first = schemas[0]
-        source = first._pieces_source
-        task0 = first.task
-        analysis = task0.analysis
-        feature_entry = ctx.features.get(id(analysis))
-        if feature_entry is None or feature_entry[0] is not analysis:
-            feature_entry = (analysis, analysis.feature_key())
-            ctx.features[id(analysis)] = feature_entry
-        feature_key = feature_entry[1]
-        sample = task0.data
-        digest = ctx.digest(sample) if sample else None
-        entry = ctx.prepared.get((id(source), digest, feature_key))
+        pieces = template.pieces
+        sample = template.task.data
         ratios = self._sample_ratios
-        if (
-            entry is None
-            or entry.plans is not source
-            or any(k not in ratios for k in entry.ratio_keys)
-        ):
-            return []
-        prepared = entry.prepared
+        ratio_keys: list[tuple] = []
+        coded = [p.plan.codec for p in pieces if p.plan.codec != "none"]
+        if sample and coded:
+            feature_key = template.task.analysis.feature_key()
+            digest = ctx.digest(sample)
+            ratio_keys = [(codec, feature_key, digest) for codec in coded]
+            if any(key not in ratios for key in ratio_keys):
+                return []
         catalog = self._catalog
         tids = [schema.task.task_id for schema in schemas]
         fresh = set(tids)
         if len(fresh) != len(tids) or not catalog.keys().isdisjoint(fresh):
-            # Rare: re-scan to stop right before the first duplicate so
-            # the per-task path surfaces it exactly.
+            # Rare: re-scan to stop right before the first duplicate.
             count = 0
             seen_new: set[str] = set()
             for tid in tids:
@@ -924,124 +683,57 @@ class CompressionManager:
                 return []
             schemas = schemas[:count]
             tids = tids[:count]
-        else:
-            count = len(schemas)
 
         hierarchy = self.shi.hierarchy
-        piece_key = self.shi.piece_key
-        plen = len(source)
         by_tier: dict[int, list[tuple[str, None, int]]] = {}
-        if plen == 1:
-            # The common burst shape: one piece per task, one tier.
-            accounted0 = prepared[0].accounted
-            keys_flat = [tid + "/0" for tid in tids]  # == piece_key(tid, 0)
-            keys_all = None
-            by_tier[source[0].tier_level] = [
-                (key, None, accounted0) for key in keys_flat
-            ]
-        else:
-            keys_all = []
-            for tid in tids:
-                keys = [piece_key(tid, index) for index in range(plen)]
-                keys_all.append(keys)
-                for key, plan, prep in zip(keys, source, prepared):
-                    by_tier.setdefault(plan.tier_level, []).append(
-                        (key, None, prep.accounted)
-                    )
-        placed = ctx.rollback_frame
-        placed.clear()
+        receipt_cols = []
+        entry_cols = []
+        for index, piece in enumerate(pieces):
+            plan, _key, tier, stored, ratio, comp, io, wall = piece[:8]
+            suffix = f"/{index}"
+            keys = [tid + suffix for tid in tids]  # == shi.piece_key(tid, index)
+            by_tier.setdefault(plan.tier_level, []).extend(
+                [(key, None, stored) for key in keys]
+            )
+            receipt_cols.append(
+                [
+                    PieceResult(plan, key, tier, stored, ratio, comp, io, wall)
+                    for key in keys
+                ]
+            )
+            length, codec = plan.length, plan.codec
+            entry_cols.append(
+                [CatalogEntry(key, length, codec, None) for key in keys]
+            )
+        placed: list[int] = []
         try:
             for level, items in by_tier.items():
                 hierarchy[level].put_many(items)
-                placed.extend((level, item[0]) for item in items)
+                placed.append(level)
         except TierError:  # pragma: no cover - the quota precludes this
-            for level, key in placed:
-                hierarchy[level].evict(key)
+            for level in placed:
+                for key, _blob, _size in by_tier[level]:
+                    hierarchy[level].evict(key)
             raise
 
-        io_cache = ctx.io_cache
         journal = self.journal
-        # Every task of the run shares the template's pieces, so the
-        # receipt fields that don't carry the key are constants: resolve
-        # tiers, modeled I/O, and catalog columns once per piece.
-        piece_consts = []
-        for plan, prep, comp, obs in zip(
-            source, prepared, entry.comp_seconds, entry.observations
-        ):
-            level = plan.tier_level
-            tier = hierarchy[level]
-            io_key = (level, prep.accounted, tier._slowdown)
-            io = io_cache.get(io_key)
-            if io is None:
-                io = tier.io_seconds(prep.accounted)
-                io_cache[io_key] = io
-            piece_consts.append(
-                (
-                    plan, plan.length, plan.codec, tier.spec.name,
-                    prep.accounted, prep.measured_ratio, prep.wall_seconds,
-                    comp, io, obs,
-                )
-            )
-        if plen == 1 and journal is None:
-            (
-                plan, length, codec, tier_name, accounted, ratio, wall,
-                comp, io, obs,
-            ) = piece_consts[0]
-            obs_list = [obs] if obs is not None else []
-            results = [
-                WriteResult(
-                    schema.task,
-                    [
-                        PieceResult(
-                            plan, key, tier_name, accounted, ratio, comp,
-                            io, wall,
-                        )
-                    ],
-                    obs_list.copy(),
-                )
-                for schema, key in zip(schemas, keys_flat)
-            ]
-            for tid, key in zip(tids, keys_flat):
-                catalog[tid] = [CatalogEntry(key, length, codec, None)]
-            ratio_keys = entry.ratio_keys
-            if ratio_keys:
-                for cache_key in ratio_keys:
-                    ratios.move_to_end(cache_key)
-                self.sample_cache_hits += count * len(ratio_keys)
-            return results
-        if keys_all is None:  # plen == 1 with a journal attached
-            keys_all = [[key] for key in keys_flat]
+        observations = template.observations
         results: list[WriteResult] = []
-        for schema, keys in zip(schemas, keys_all):
-            task = schema.task
-            entries: list[CatalogEntry] = []
-            result = WriteResult(task=task)
-            result_pieces = result.pieces
-            result_observations = result.observations
-            for key, (
-                plan, length, codec, tier_name, accounted, ratio, wall,
-                comp, io, obs,
-            ) in zip(keys, piece_consts):
-                entries.append(CatalogEntry(key, length, codec, None))
-                result_pieces.append(
-                    PieceResult(
-                        plan, key, tier_name, accounted, ratio, comp, io,
-                        wall,
-                    )
-                )
-                if obs is not None:
-                    result_observations.append(obs)
+        for schema, tid, receipts, entries in zip(
+            schemas, tids, zip(*receipt_cols), zip(*entry_cols)
+        ):
+            # WAL discipline, as in _execute_write: durable before visible.
             if journal is not None:
-                journal.commit("commit", task.task_id, tuple(entries))
-            catalog[task.task_id] = entries
-            results.append(result)
-        ratio_keys = entry.ratio_keys
-        if ratio_keys:
-            # The sequential traffic: one recency touch per coded piece
-            # per task, one counted hit each.
-            for cache_key in ratio_keys:
-                ratios.move_to_end(cache_key)
-            self.sample_cache_hits += count * len(ratio_keys)
+                journal.commit("commit", tid, entries)
+            catalog[tid] = list(entries)
+            results.append(
+                WriteResult(schema.task, list(receipts), observations.copy())
+            )
+        # The per-piece body's cache traffic: one recency touch and one
+        # counted hit per coded piece per task.
+        for cache_key in ratio_keys:
+            ratios.move_to_end(cache_key)
+        self.sample_cache_hits += len(results) * len(ratio_keys)
         return results
 
     # -- read path ------------------------------------------------------------
@@ -1219,7 +911,7 @@ class CompressionManager:
         """Read one piece's blob through the SHI, verifying its checksum.
 
         A mismatch triggers read-repair: the blob is re-read up to
-        ``read_repair_retries`` times (transient media/bus corruption heals
+        ``READ_REPAIR_RETRIES`` times (transient media/bus corruption heals
         on re-read), then the ``on_corrupt`` hook gets a chance to supply a
         healthy replacement, and only then is :class:`CorruptDataError`
         surfaced. Repair is *bounded across calls* too: after
@@ -1241,7 +933,7 @@ class CompressionManager:
         if entry.crc32 is None or zlib.crc32(blob) == entry.crc32:
             return blob
         self.corruption_detected += 1
-        for _attempt in range(self.shi.resilience.read_repair_retries):
+        for _attempt in range(READ_REPAIR_RETRIES):
             blob, _receipt = self.shi.read(key)
             if zlib.crc32(blob) == entry.crc32:
                 self.read_repairs += 1
@@ -1263,7 +955,7 @@ class CompressionManager:
             )
         raise CorruptDataError(
             f"piece {key!r} failed checksum validation after "
-            f"{self.shi.resilience.read_repair_retries} re-reads"
+            f"{READ_REPAIR_RETRIES} re-reads"
         )
 
     def clear_quarantine(self, key: str) -> None:

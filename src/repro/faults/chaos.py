@@ -38,6 +38,10 @@ __all__ = ["ChaosConfig", "ChaosOutcome", "default_chaos_plan", "run_chaos"]
 
 CHAOS_BACKENDS = ("HC", "BASE", "MTNC")
 
+#: Simulated seconds past the fault plan's horizon before the
+#: verification reads run (every scheduled recovery has fired by then).
+RECOVERY_SLACK = 1.0
+
 
 @dataclass(frozen=True)
 class ChaosConfig:
@@ -52,8 +56,6 @@ class ChaosConfig:
         monitor_interval: HC's System Monitor refresh period; longer than
             ``step_seconds`` means the engine plans against stale
             availability and must rely on SHI failover / replanning.
-        recovery_slack: Simulated seconds past the plan horizon before the
-            verification reads run.
     """
 
     ranks: int = 2
@@ -62,7 +64,6 @@ class ChaosConfig:
     step_seconds: float = 1.0
     rng_seed: int = 7
     monitor_interval: float = 2.0
-    recovery_slack: float = 1.0
 
     def __post_init__(self) -> None:
         if self.ranks < 1 or self.steps < 1 or self.step_kib < 1:
@@ -267,7 +268,7 @@ def _run_hc(
             outcome.tasks_written += 1
         _advance(
             clock, injector,
-            max(clock.now, injector.plan.horizon) + config.recovery_slack,
+            max(clock.now, injector.plan.horizon) + RECOVERY_SLACK,
         )
         for task_id in buffers:
             read = engine.decompress(task_id)
@@ -316,7 +317,7 @@ def _run_base(hierarchy, clock, injector, buffers, config) -> ChaosOutcome:
             outcome.tasks_written += 1
         _advance(
             clock, injector,
-            max(clock.now, injector.plan.horizon) + config.recovery_slack,
+            max(clock.now, injector.plan.horizon) + RECOVERY_SLACK,
         )
         for task_id in buffers:
             data = pfs.get(task_id)
@@ -358,7 +359,7 @@ def _run_mtnc(hierarchy, clock, injector, buffers, config) -> ChaosOutcome:
             outcome.tasks_written += 1
         _advance(
             clock, injector,
-            max(clock.now, injector.plan.horizon) + config.recovery_slack,
+            max(clock.now, injector.plan.horizon) + RECOVERY_SLACK,
         )
         for task_id in buffers:
             data, io_seconds = buffering.get(task_id)

@@ -57,6 +57,16 @@ __all__ = [
     "sweep_crash_sites",
 ]
 
+#: The oldest live task is evicted after every Nth write, exercising the
+#: evict journal sites.
+EVICT_EVERY = 3
+#: Simulated-time window during which ``OUTAGE_TIER`` is down. It is RAM —
+#: the tier the stale plans keep targeting — so SHI failover carries real
+#: traffic (a down *lower* tier would be bypassed by the manager's
+#: capacity-spill path instead).
+OUTAGE_TIER = "ram"
+OUTAGE_WINDOW = (1.2, 3.4)
+
 
 @dataclass(frozen=True)
 class CrashConfig:
@@ -70,16 +80,8 @@ class CrashConfig:
         monitor_interval: Monitor refresh period; kept *longer* than the
             write cadence so stale plans keep landing on the faulted tier
             and the SHI failover crash sites see real traffic.
-        evict_every: Evict the oldest live task after every Nth write
-            (0 disables), exercising the evict journal sites.
         checkpoint_after: Take a mid-run checkpoint once this many writes
             are acknowledged (0: bootstrap checkpoint only).
-        outage_start/outage_end: Simulated-time window during which the
-            ``outage_tier`` is down. The default hits RAM — the tier the
-            stale plans keep targeting — so SHI failover carries real
-            traffic (a down *lower* tier would be bypassed by the
-            manager's capacity-spill path instead).
-        outage_tier: Which tier the outage hits.
         fsync: Forwarded to :class:`~repro.core.config.RecoveryConfig`;
             the harness defaults to False (flush-only) because the crash
             model is process-level, and sweeps run dozens of engines.
@@ -87,7 +89,6 @@ class CrashConfig:
             write), tuned storage-heavy so demotions fire from the first
             scan and the ``lifecycle.*`` crash sites see several real
             migrations per run.
-        lifecycle_migrations_per_step: Migration cap per daemon step.
         scrub: Run the integrity subsystem: content digests + digest
             verification on read + one scrubber ``step()`` after every
             write, with the manager's ``on_corrupt`` hook wired to a
@@ -104,14 +105,9 @@ class CrashConfig:
     step_seconds: float = 1.0
     rng_seed: int = 7
     monitor_interval: float = 4.0
-    evict_every: int = 3
     checkpoint_after: int = 4
-    outage_start: float = 1.2
-    outage_end: float = 3.4
-    outage_tier: str = "ram"
     fsync: bool = False
     lifecycle: bool = True
-    lifecycle_migrations_per_step: int = 2
     scrub: bool = False
     corrupt_every: int = 0
 
@@ -120,10 +116,8 @@ class CrashConfig:
             raise HCompressError("tasks and task_kib must be >= 1")
         if self.step_seconds <= 0:
             raise HCompressError("step_seconds must be positive")
-        if self.evict_every < 0 or self.checkpoint_after < 0:
-            raise HCompressError(
-                "evict_every and checkpoint_after must be >= 0"
-            )
+        if self.checkpoint_after < 0:
+            raise HCompressError("checkpoint_after must be >= 0")
         if self.corrupt_every < 0:
             raise HCompressError("corrupt_every must be >= 0")
         if self.corrupt_every and not self.scrub:
@@ -256,7 +250,7 @@ def run_crash_recovery(
     hierarchy = _crash_hierarchy(config)
     clock = SimClock()
     fault_plan = FaultPlan(seed=plan.seed if plan is not None else 0).outage(
-        config.outage_tier, start=config.outage_start, end=config.outage_end
+        OUTAGE_TIER, start=OUTAGE_WINDOW[0], end=OUTAGE_WINDOW[1]
     )
     injector = FaultInjector(fault_plan, hierarchy)
     injector.arm()
@@ -277,7 +271,7 @@ def run_crash_recovery(
             scan_interval=0.0,
             storage_price=1000.0,
             access_price=0.001,
-            max_migrations_per_step=config.lifecycle_migrations_per_step,
+            max_migrations_per_step=2,
         ),
         scrub=ScrubConfig(
             enabled=config.scrub,
@@ -355,7 +349,7 @@ def run_crash_recovery(
                     outcome.corruptions_planted += len(planted)
                 repaired = engine.scrub.step(force=True)
                 outcome.scrub_repairs += len(repaired)
-            if config.evict_every and (index + 1) % config.evict_every == 0:
+            if (index + 1) % EVICT_EVERY == 0:
                 victim = next(
                     (t for t in acked if t not in evicted and t != task_id),
                     None,

@@ -68,6 +68,9 @@ __all__ = [
     "run_failover_crash",
 ]
 
+#: Modeled seconds between offered writes.
+INTERARRIVAL = 0.05
+
 
 @dataclass(frozen=True)
 class FailoverChaosConfig:
@@ -80,7 +83,6 @@ class FailoverChaosConfig:
             ``i % tenants`` so every tenant's traffic recurs across the
             whole storm.
         task_kib: Buffer size in KiB.
-        interarrival: Modeled seconds between offered writes.
         kill_shard: Primary to kill, or ``None`` for the undisturbed
             baseline run the survivor traces are compared against.
         kill_owner_of: Alternative kill target: the shard owning this
@@ -111,7 +113,6 @@ class FailoverChaosConfig:
     tasks: int = 64
     tenants: int = 8
     task_kib: int = 16
-    interarrival: float = 0.05
     kill_shard: int | None = None
     kill_owner_of: str | None = None
     kill_after: int = 24
@@ -128,10 +129,8 @@ class FailoverChaosConfig:
     def __post_init__(self) -> None:
         if self.shards < 1 or self.tasks < 1 or self.tenants < 1:
             raise HCompressError("shards, tasks, and tenants must be >= 1")
-        if self.task_kib < 1 or self.interarrival <= 0:
-            raise HCompressError(
-                "task_kib must be >= 1 and interarrival positive"
-            )
+        if self.task_kib < 1:
+            raise HCompressError("task_kib must be >= 1")
         if self.kill_shard is not None and not (
             0 <= self.kill_shard < self.shards
         ):
@@ -304,7 +303,7 @@ def run_failover_chaos(
     # DOWN -> UP within the modeled promotion window plus the one arrival
     # it takes the next dispatch to notice, with float headroom.
     outcome.unavailability_bound = (
-        config.promotion_seconds + 2 * config.interarrival + 1e-6
+        config.promotion_seconds + 2 * INTERARRIVAL + 1e-6
     )
     rng = np.random.default_rng(config.rng_seed)
     buffers: dict[str, bytes] = {}
@@ -335,7 +334,7 @@ def run_failover_chaos(
                 outcome.lost_local_tail = victim.journal.pending
                 sharded.kill_shard(kill_shard)
                 outcome.killed_shard = kill_shard
-            clock.advance_to(max(clock.now, index * config.interarrival))
+            clock.advance_to(max(clock.now, index * INTERARRIVAL))
             task_id = f"failover/t{index}"
             tenant = f"tenant-{index % config.tenants}"
             shard_id = sharded.shard_of(task_id, tenant)

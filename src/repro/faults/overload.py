@@ -53,6 +53,20 @@ from .plan import FaultPlan
 
 __all__ = ["OverloadConfig", "OverloadOutcome", "run_overload"]
 
+#: Admission drain model rate (KiB/s), kept small so the storm fits in a
+#: few simulated seconds, and the admission queue bound: with 2x load the
+#: backlog crosses the soft-shed band roughly a third of the way in.
+DRAIN_KIB_PER_S = 64
+MAX_BACKLOG_KIB = 96
+#: The flapping tier's FaultPlan seed and shape. RAM flaps — the tier
+#: plans target first — so SHI failover and the breaker see real traffic:
+#: ``FLAP_ON`` seconds down per cycle, ``FLAP_OFF`` up between cycles (the
+#: first outage starts at ``FLAP_OFF``, so the storm opens healthy).
+FAULT_SEED = 3
+FLAP_TIER = "ram"
+FLAP_ON = 0.5
+FLAP_OFF = 0.7
+
 
 @dataclass(frozen=True)
 class OverloadConfig:
@@ -65,20 +79,9 @@ class OverloadConfig:
         load_factor: Offered-load multiple of the admission drain rate;
             the interarrival gap is ``task_bytes / (load_factor * drain)``
             so 2.0 means bytes arrive twice as fast as they drain.
-        drain_kib_per_s: Admission drain model rate (KiB/s). Kept small
-            so the storm fits in a few simulated seconds.
-        max_backlog_kib: Admission queue bound; with 2x load the backlog
-            crosses the soft-shed band roughly a third of the way in.
         deadline: Per-task budget in modeled seconds (None: no deadline).
         rng_seed: Workload data generator *and* shed-lottery seed.
-        fault_seed: FaultPlan seed for the flapping tier.
-        flap_tier: Which tier flaps. The default hits RAM — the tier
-            plans target first — so SHI failover and the breaker see
-            real traffic.
-        flap_count: Down/up cycles.
-        flap_on: Seconds down per cycle.
-        flap_off: Seconds up between cycles (the first outage starts at
-            ``flap_off``, so the storm opens healthy).
+        flap_count: Down/up cycles of the flapping tier.
         monitor_interval: Kept *longer* than the write cadence so stale
             plans keep targeting the flapped tier — SHI failover and the
             circuit breaker see real failures instead of the planner
@@ -97,15 +100,9 @@ class OverloadConfig:
     tasks: int = 48
     task_kib: int = 16
     load_factor: float = 2.0
-    drain_kib_per_s: int = 64
-    max_backlog_kib: int = 96
     deadline: float | None = 8.0
     rng_seed: int = 11
-    fault_seed: int = 3
-    flap_tier: str = "ram"
     flap_count: int = 3
-    flap_on: float = 0.5
-    flap_off: float = 0.7
     monitor_interval: float = 2.0
     crash_site: str | None = None
     crash_hit: int = 1
@@ -115,14 +112,10 @@ class OverloadConfig:
     def __post_init__(self) -> None:
         if self.tasks < 1 or self.task_kib < 1:
             raise HCompressError("tasks and task_kib must be >= 1")
-        if self.load_factor <= 0 or self.drain_kib_per_s < 1:
-            raise HCompressError(
-                "load_factor and drain_kib_per_s must be positive"
-            )
-        if self.flap_count < 0 or self.flap_on <= 0 or self.flap_off <= 0:
-            raise HCompressError(
-                "flap_count must be >= 0; flap_on/flap_off must be positive"
-            )
+        if self.load_factor <= 0:
+            raise HCompressError("load_factor must be positive")
+        if self.flap_count < 0:
+            raise HCompressError("flap_count must be >= 0")
         if self.deadline is not None and self.deadline <= 0:
             raise HCompressError("deadline must be positive (or None)")
 
@@ -130,7 +123,7 @@ class OverloadConfig:
     def interarrival(self) -> float:
         """Seconds between offered writes at the configured load factor."""
         return (self.task_kib * KiB) / (
-            self.load_factor * self.drain_kib_per_s * KiB
+            self.load_factor * DRAIN_KIB_PER_S * KiB
         )
 
 
@@ -214,13 +207,11 @@ def _storm_hierarchy(config: OverloadConfig) -> StorageHierarchy:
 
 
 def _flap_plan(config: OverloadConfig) -> FaultPlan:
-    plan = FaultPlan(seed=config.fault_seed)
-    period = config.flap_on + config.flap_off
+    plan = FaultPlan(seed=FAULT_SEED)
+    period = FLAP_ON + FLAP_OFF
     for cycle in range(config.flap_count):
-        start = config.flap_off + cycle * period
-        plan = plan.outage(
-            config.flap_tier, start=start, end=start + config.flap_on
-        )
+        start = FLAP_OFF + cycle * period
+        plan = plan.outage(FLAP_TIER, start=start, end=start + FLAP_ON)
     return plan
 
 
@@ -249,8 +240,7 @@ def run_overload(
     injector.arm()
     crash_plan = (
         CrashPlan(
-            site=config.crash_site, hit=config.crash_hit,
-            seed=config.fault_seed,
+            site=config.crash_site, hit=config.crash_hit, seed=FAULT_SEED,
         )
         if config.crash_site is not None
         else None
@@ -261,8 +251,8 @@ def run_overload(
         monitor_interval=config.monitor_interval,
         qos=QosConfig(
             enabled=True,
-            max_backlog_bytes=config.max_backlog_kib * KiB,
-            drain_bytes_per_s=float(config.drain_kib_per_s * KiB),
+            max_backlog_bytes=MAX_BACKLOG_KIB * KiB,
+            drain_bytes_per_s=float(DRAIN_KIB_PER_S * KiB),
             shed_seed=config.rng_seed,
         ),
         recovery=RecoveryConfig(
@@ -343,8 +333,7 @@ def run_overload(
     if crashpoints is not None:
         outcome.fired_site = crashpoints.fired
     if engine.qos is not None:
-        if engine.qos.breakers is not None:
-            outcome.breaker_transitions = engine.qos.breakers.transitions
+        outcome.breaker_transitions = engine.qos.breakers.transitions
         outcome.trace = engine.qos.event_trace() + (tuple(task_events),)
 
     # -- after the storm: devices heal, acked data must read back ----------
@@ -361,7 +350,7 @@ def run_overload(
             outcome.error = f"restore failed: {type(exc).__name__}: {exc}"
             return outcome
         outcome.recovered = True
-        if reader.qos is not None and reader.qos.breakers is not None:
+        if reader.qos is not None:
             # Conservative restore: any breaker checkpointed open/half-open
             # must come back quarantined, not silently healthy.
             outcome.breaker_open_after_restore = any(

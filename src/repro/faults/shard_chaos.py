@@ -43,6 +43,9 @@ from .chaos import default_seed
 
 __all__ = ["ShardChaosConfig", "ShardChaosOutcome", "run_shard_chaos"]
 
+#: Modeled seconds between offered writes.
+INTERARRIVAL = 0.05
+
 
 @dataclass(frozen=True)
 class ShardChaosConfig:
@@ -56,7 +59,6 @@ class ShardChaosConfig:
             whole storm (tasks offered after the kill probe every
             tenant's shard).
         task_kib: Buffer size in KiB.
-        interarrival: Modeled seconds between offered writes.
         kill_shard: Shard to kill, or ``None`` for the undisturbed
             baseline run the survivor traces are compared against.
         kill_owner_of: Alternative kill target: the shard that owns this
@@ -67,8 +69,6 @@ class ShardChaosConfig:
         checkpoint_after: Acked writes before a deployment-wide
             checkpoint (0: bootstrap checkpoint only) — the killed
             shard's restore then replays checkpoint + journal suffix.
-        restore: Restore the killed shard after the storm and verify
-            its acked data.
         rng_seed: Workload payload generator seed.
         hash_seed: Ring hash seed (routing layout).
         fsync: Forwarded to RecoveryConfig (False: flush-only for CI).
@@ -78,12 +78,10 @@ class ShardChaosConfig:
     tasks: int = 64
     tenants: int = 8
     task_kib: int = 16
-    interarrival: float = 0.05
     kill_shard: int | None = None
     kill_owner_of: str | None = None
     kill_after: int = 24
     checkpoint_after: int = 12
-    restore: bool = True
     rng_seed: int = 11
     hash_seed: int = 0
     fsync: bool = False
@@ -91,10 +89,8 @@ class ShardChaosConfig:
     def __post_init__(self) -> None:
         if self.shards < 1 or self.tasks < 1 or self.tenants < 1:
             raise HCompressError("shards, tasks, and tenants must be >= 1")
-        if self.task_kib < 1 or self.interarrival <= 0:
-            raise HCompressError(
-                "task_kib must be >= 1 and interarrival positive"
-            )
+        if self.task_kib < 1:
+            raise HCompressError("task_kib must be >= 1")
         if self.kill_shard is not None and not (
             0 <= self.kill_shard < self.shards
         ):
@@ -150,11 +146,7 @@ class ShardChaosOutcome:
             and self.affected_tenants <= self.expected_tenants
             and self.mismatched == 0
             and self.missing_acked == 0
-            and (
-                not self.config.restore
-                or self.killed_shard is None
-                or self.restored
-            )
+            and (self.killed_shard is None or self.restored)
         )
 
     def summary(self) -> str:
@@ -238,7 +230,7 @@ def run_shard_chaos(
             if kill_shard is not None and index == config.kill_after:
                 sharded.kill_shard(kill_shard)
                 outcome.killed_shard = kill_shard
-            clock.advance_to(max(clock.now, index * config.interarrival))
+            clock.advance_to(max(clock.now, index * INTERARRIVAL))
             task_id = f"shard/t{index}"
             tenant = f"tenant-{index % config.tenants}"
             shard_id = sharded.shard_of(task_id, tenant)
@@ -280,7 +272,7 @@ def run_shard_chaos(
             outcome.mismatched += 1
 
     # -- failover: the killed shard restores from its own WAL + checkpoint -
-    if outcome.killed_shard is not None and config.restore:
+    if outcome.killed_shard is not None:
         try:
             engine = sharded.restore_shard(outcome.killed_shard)
         except HCompressError as exc:

@@ -55,9 +55,9 @@ class Schema:
     expected_cost: float = 0.0
     memo_hits: int = 0
     memo_misses: int = 0
-    # Shared plan tuple a cached schema was emitted from; lets the manager
-    # recognise reusable prep across a batch. Identity metadata, not part
-    # of the schema's value.
+    # Shared plan tuple the batch planner emitted this schema from; marks
+    # a step the run lane may continue. Identity metadata, not part of
+    # the schema's value.
     _pieces_source: tuple | None = field(
         default=None, repr=False, compare=False
     )

@@ -44,14 +44,6 @@ class LifecycleConfig:
             data up; storage_price is the term that pushes cold data down.
         horizon: Amortization window in modeled seconds: a migration pays
             off when its one-time cost is recovered within this long.
-        threshold: Minimum net modeled-dollar saving (over ``horizon``)
-            before a migration is worth scheduling — hysteresis against
-            ping-ponging blobs whose scores sit near the break-even line.
-        promote_codecs: Codec preference order for blobs moving *up*;
-            the first roster member wins (cache-line codecs when the
-            engine runs ``EXTENDED_LIBRARIES``, byte-LZ otherwise).
-        demote_codecs: Codec preference order for blobs moving *down*
-            (heavy, ratio-first codecs).
         max_migrations_per_step: Cap on migrations executed per scan, so
             a cold catalog drains over several steps instead of stalling
             foreground traffic behind one giant sweep.
@@ -66,9 +58,6 @@ class LifecycleConfig:
     storage_price: float = 1.0
     access_price: float = 1.0
     horizon: float = 32.0
-    threshold: float = 0.0
-    promote_codecs: tuple[str, ...] = ("bdi", "fpc", "lz4", "snappy")
-    demote_codecs: tuple[str, ...] = ("lzma", "bsc", "bzip2")
     max_migrations_per_step: int = 4
     max_brownout_level: int = 0
 
@@ -81,10 +70,6 @@ class LifecycleConfig:
             raise ValueError("storage_price and access_price must be >= 0")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        if self.threshold < 0:
-            raise ValueError("threshold must be >= 0")
-        if not self.promote_codecs or not self.demote_codecs:
-            raise ValueError("promote_codecs and demote_codecs need >= 1 entry")
         if self.max_migrations_per_step < 1:
             raise ValueError("max_migrations_per_step must be >= 1")
         if self.max_brownout_level < 0:

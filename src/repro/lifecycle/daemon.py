@@ -58,6 +58,13 @@ class AccessRecord:
         return self.temperature * math.pow(2.0, -idle / half_life)
 
 
+#: Codec preference for blobs moving *up* — the first roster member wins
+#: (cache-line codecs when the engine runs ``EXTENDED_LIBRARIES``, byte-LZ
+#: otherwise) — and for blobs moving *down* (heavy, ratio-first codecs).
+PROMOTE_CODECS = ("bdi", "fpc", "lz4", "snappy")
+DEMOTE_CODECS = ("lzma", "bsc", "bzip2")
+
+
 @dataclass(frozen=True)
 class Migration:
     """One executed (or scheduled) migration, for status/tests."""
@@ -117,10 +124,10 @@ class LifecycleDaemon:
         # Codec preference resolved once against the engine's roster.
         pool = engine.pool
         self.promote_codec = next(
-            (c for c in config.promote_codecs if c in pool), "none"
+            (c for c in PROMOTE_CODECS if c in pool), "none"
         )
         self.demote_codec = next(
-            (c for c in config.demote_codecs if c in pool), "none"
+            (c for c in DEMOTE_CODECS if c in pool), "none"
         )
 
     # -- access tracking (called from the engine's read/write paths) ---------
@@ -289,7 +296,7 @@ class LifecycleDaemon:
                 payoff = saving * config.horizon - cost.migration_dollars(
                     src, dst, stored, new_stored, old_codec, new_codec, length
                 )
-                if payoff <= config.threshold:
+                if payoff <= 0.0:  # the move must pay for itself
                     continue
                 if best is None or saving > best.saving_rate:
                     best = Migration(

@@ -48,18 +48,11 @@ class ZipfTraceConfig:
         task_kib: Blob size in KiB.
         reads: Trace length (draws from the zipf distribution).
         zipf_s: Skew exponent; ~1.2 sends most reads to a few blobs.
-        hot_ranks: How many top ranks count as "hot" for the hot-read
-            latency metric (0: ``max(1, tasks // 8)``).
         step_seconds: Simulated seconds between reads — the clock the
             temperatures decay and the daemon scans on.
         rng_seed: Seed of the data generator and the trace sampler.
         dtype/distribution: Synthetic buffer shape (analyzer hints stay
             inferred, like any real write).
-        shuffle_writes: Write the population in a seeded-shuffled order,
-            so arrival order does not correlate with future hotness (in
-            write order, write-time placement would park the hottest
-            ranks on the fastest tier by accident and there would be
-            nothing left for lifecycle tiering to fix).
         lifecycle: Daemon policy for the lifecycle run;
             :func:`run_zipf_trace` forces ``enabled`` per run.
     """
@@ -68,19 +61,18 @@ class ZipfTraceConfig:
     task_kib: int = 4
     reads: int = 384
     zipf_s: float = 1.4
-    hot_ranks: int = 0
     step_seconds: float = 0.25
     rng_seed: int = 0
     dtype: str = "float64"
     distribution: str = "gamma"
-    shuffle_writes: bool = True
     lifecycle: LifecycleConfig = field(
         default_factory=lambda: LifecycleConfig(enabled=True, scan_interval=2.0)
     )
 
     @property
     def hot_count(self) -> int:
-        return self.hot_ranks if self.hot_ranks else max(1, self.tasks // 8)
+        """How many top ranks count as "hot" for the hot-read metric."""
+        return max(1, self.tasks // 8)
 
 
 @dataclass
@@ -170,9 +162,12 @@ def run_zipf_trace(
         )
         for rank in range(config.tasks)
     }
-    write_order = list(buffers)
-    if config.shuffle_writes:
-        write_order = [write_order[i] for i in rng.permutation(config.tasks)]
+    # Written in a seeded-shuffled order, so arrival order does not
+    # correlate with future hotness (in rank order, write-time placement
+    # would park the hottest ranks on the fastest tier by accident and
+    # leave lifecycle tiering nothing to fix).
+    task_ids = list(buffers)
+    write_order = [task_ids[i] for i in rng.permutation(config.tasks)]
     for task_id in write_order:
         written = engine.compress(buffers[task_id], task_id=task_id)
         clock.advance(written.io_seconds + written.compress_seconds)

@@ -581,15 +581,14 @@ class Observability:
         ):
             reg.counter(name, "mirror of the admission controller").set(value)
         self.m_brownout_level.set(int(governor.brownout.level))
-        if governor.breakers is not None:
-            code = {OPEN: 2, HALF_OPEN: 1}
-            for tier, breaker in governor.breakers.breakers.items():
-                self.m_breaker_state.labels(tier=tier).set(
-                    code.get(breaker.state, 0)
-                )
-                self.m_breaker_transitions.labels(tier=tier).set(
-                    breaker.transitions
-                )
+        code = {OPEN: 2, HALF_OPEN: 1}
+        for tier, breaker in governor.breakers.breakers.items():
+            self.m_breaker_state.labels(tier=tier).set(
+                code.get(breaker.state, 0)
+            )
+            self.m_breaker_transitions.labels(tier=tier).set(
+                breaker.transitions
+            )
 
     def sync_lifecycle(self, daemon) -> None:
         """Mirror a :class:`~repro.lifecycle.LifecycleDaemon`'s cumulative

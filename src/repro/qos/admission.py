@@ -11,7 +11,7 @@ severity:
   from a seeded RNG so the trace replays exactly
 * fill > 1                        -> every sub-protected class shed
 
-Protected classes (``protected_class`` and above) are never shed by the
+Protected classes (``PROTECTED_CLASS`` and above) are never shed by the
 controller; the brownout ladder may additionally impose a shed *floor*
 that deterministically rejects classes below it.
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 
 from ..errors import TaskShedError
-from .config import QosClass, QosConfig
+from .config import PROTECTED_CLASS, QosClass, QosConfig
 
 __all__ = ["AdmissionController"]
 
@@ -95,7 +95,7 @@ class AdmissionController:
         reason = None
         if floor is not None and qos_class < floor:
             reason = "brownout"
-        elif qos_class >= self.config.protected_class:
+        elif qos_class >= PROTECTED_CLASS:
             pass  # protected classes are never shed
         elif (
             quota is not None

@@ -19,7 +19,7 @@ from __future__ import annotations
 from enum import IntEnum
 from typing import Callable
 
-from .config import QosClass, QosConfig
+from .config import PROTECTED_CLASS, QosClass, QosConfig
 
 __all__ = ["BrownoutLevel", "BrownoutController"]
 
@@ -90,7 +90,7 @@ class BrownoutController:
     def shed_floor(self) -> QosClass | None:
         """Admission floor implied by the current rung (None = no floor)."""
         if self.level >= BrownoutLevel.SHED_LOW:
-            return self.config.protected_class
+            return PROTECTED_CLASS
         return None
 
     def export_state(self) -> dict:

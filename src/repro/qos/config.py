@@ -32,6 +32,11 @@ class QosClass(IntEnum):
     CRITICAL = 3
 
 
+#: Tasks of this class or higher are never shed by the admission
+#: controller, and brownout level 3 sheds strictly *below* it.
+PROTECTED_CLASS = QosClass.INTERACTIVE
+
+
 def qos_class_for_priority(priority: Priority) -> QosClass:
     """Default QoS class of a Table II priority preset.
 
@@ -60,16 +65,11 @@ class QosConfig:
             first.
         shed_soft_fill: Backlog fill fraction where probabilistic
             shedding of sub-protected classes begins.
-        protected_class: Tasks of this class or higher are never shed by
-            the admission controller (brownout level 3 sheds strictly
-            *below* it too).
         drain_bytes_per_s: Modeled rate at which the admission backlog
             drains. ``None`` derives it from the hierarchy sink tier's
             aggregate bandwidth.
         shed_seed: Seed of the shed-decision RNG, so overload traces are
             replayable.
-        breaker_enabled: Per-tier circuit breakers on/off (independent of
-            admission so tests can isolate the mechanisms).
         breaker_failure_threshold: Failures inside ``breaker_window``
             that trip a closed breaker open.
         breaker_window: Sliding failure-count window in modeled seconds.
@@ -110,10 +110,8 @@ class QosConfig:
     enabled: bool = False
     max_backlog_bytes: int = 64 * MiB
     shed_soft_fill: float = 0.75
-    protected_class: QosClass = QosClass.INTERACTIVE
     drain_bytes_per_s: float | None = None
     shed_seed: int = 0
-    breaker_enabled: bool = True
     breaker_failure_threshold: int = 3
     breaker_window: float = 1.0
     breaker_open_seconds: float = 0.25

@@ -53,11 +53,7 @@ class QosGovernor:
         if drain is None:
             drain = hierarchy[len(hierarchy) - 1].spec.bandwidth
         self.admission = AdmissionController(config, drain)
-        self.breakers = (
-            BreakerBoard(hierarchy.names, config)
-            if config.breaker_enabled
-            else None
-        )
+        self.breakers = BreakerBoard(hierarchy.names, config)
         self.brownout = BrownoutController(config, on_event=self._on_brownout)
         self.deadline_exceeded = 0
 
@@ -111,25 +107,17 @@ class QosGovernor:
         return self.brownout.codec_filter()
 
     def quarantined_tiers(self) -> tuple[str, ...]:
-        if self.breakers is None:
-            return ()
         return self.breakers.quarantined(self.now())
 
     # -- SHI gate and outcome feed -----------------------------------------
 
     def breaker_allow(self, tier: str) -> bool:
-        if self.breakers is None:
-            return True
         return self.breakers.allow(tier, self.now())
 
     def tier_quarantined(self, tier: str) -> bool:
-        if self.breakers is None:
-            return False
         return self.breakers.blocked(tier, self.now())
 
     def record_tier_outcome(self, tier: str, ok: bool, seconds: float = 0.0) -> None:
-        if self.breakers is None:
-            return
         threshold = self.config.breaker_latency_threshold
         if ok and threshold is not None and seconds > threshold:
             ok = False  # a crawling tier counts as a failing one
@@ -145,29 +133,26 @@ class QosGovernor:
     def event_trace(self) -> tuple:
         """Deterministic merged trace: admission sheds, breaker
         transitions, brownout moves (each stream internally ordered)."""
-        breaker_trace = () if self.breakers is None else tuple(self.breakers.trace)
         return (
             tuple(self.admission.trace),
-            breaker_trace,
+            tuple(self.breakers.trace),
             tuple(self.brownout.trace),
         )
 
     # -- checkpoint/restore ------------------------------------------------
 
     def export_state(self) -> dict:
-        state = {
+        return {
             "admission": self.admission.export_state(),
             "brownout": self.brownout.export_state(),
             "deadline_exceeded": self.deadline_exceeded,
+            "breakers": self.breakers.export_state(),
         }
-        if self.breakers is not None:
-            state["breakers"] = self.breakers.export_state()
-        return state
 
     def restore_state(self, raw: dict) -> None:
         now = self.now()
         self.admission.restore_state(raw.get("admission", {}), now)
         self.brownout.restore_state(raw.get("brownout", {}), now)
         self.deadline_exceeded = int(raw.get("deadline_exceeded", 0))
-        if self.breakers is not None and "breakers" in raw:
+        if "breakers" in raw:
             self.breakers.restore_state(raw["breakers"], now)

@@ -37,16 +37,15 @@ class ReplicationConfig:
             :class:`~repro.errors.FailoverInProgressError` (retryable)
             until this much modeled time has passed, then serves. ``0``
             promotes instantly.
-        auto_failover: Promote automatically when the supervisor marks a
-            shard DOWN (the next dispatch runs the promotion). Off means
-            an operator calls
-            :meth:`~repro.shard.ShardedHCompress.failover` explicitly.
+
+    Promotion is automatic: when the supervisor marks a replicated shard
+    DOWN, the next dispatch promotes its most-caught-up standby
+    (:meth:`~repro.shard.ShardedHCompress.failover` stays callable).
     """
 
     enabled: bool = False
     replicas: int = 1
     promotion_seconds: float = 0.25
-    auto_failover: bool = True
 
     def __post_init__(self) -> None:
         if self.replicas < 1:

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["ScrubConfig"]
+__all__ = ["ScrubConfig", "READ_REPAIR_RETRIES"]
+
+#: Rung 1 of the repair ladder (docs/INTEGRITY.md), on foreground reads
+#: and scrub steps alike: extra re-reads attempted on a checksum mismatch
+#: before escalating (transient media/bus corruption heals on re-read).
+READ_REPAIR_RETRIES = 2
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..errors import TierError
-from .config import ScrubConfig
+from .config import READ_REPAIR_RETRIES, ScrubConfig
 from .fsck import validate_entry
 
 __all__ = ["Repair", "ScrubStats", "Scrubber"]
@@ -245,7 +245,7 @@ class Scrubber:
 
         # Rung 1: bounded re-reads — in-flight corruption heals without
         # touching stored state (the stored bytes were never wrong).
-        for _attempt in range(manager.shi.resilience.read_repair_retries):
+        for _attempt in range(READ_REPAIR_RETRIES):
             seconds += tier.io_seconds(extent.accounted_size)
             try:
                 blob = tier.get(entry.key)

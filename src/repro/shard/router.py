@@ -228,11 +228,7 @@ class ShardedHCompress:
     ) -> None:
         """Supervisor transition hook: bump + rewrite the manifest, and
         queue an automatic failover when a replicated shard goes DOWN."""
-        if (
-            status == "DOWN"
-            and self.replication is not None
-            and self.shard_config.replication.auto_failover
-        ):
+        if status == "DOWN" and self.replication is not None:
             self._pending_failovers.add(shard_id)
         if self.manifest is None:
             return

@@ -27,13 +27,11 @@ class BdcatsConfig:
         nprocs: Reader process count (matches the producer's in the paper).
         timesteps: Timesteps to read back.
         cluster_seconds: CPU time of the clustering pass per timestep.
-        barrier_per_step: Synchronise between timesteps.
     """
 
     nprocs: int
     timesteps: int = 10
     cluster_seconds: float = 30.0
-    barrier_per_step: bool = True
 
     def __post_init__(self) -> None:
         if self.nprocs < 1 or self.timesteps < 1:
@@ -88,8 +86,7 @@ def run_bdcats(
                 yield Delay(charge.cpu_seconds)
             if config.cluster_seconds:
                 yield Delay(config.cluster_seconds)
-            if config.barrier_per_step:
-                yield from ctx.barrier()
+            yield from ctx.barrier()  # synchronise between timesteps
 
     spawn_ranks(sim, config.nprocs, program)
     elapsed = sim.run()

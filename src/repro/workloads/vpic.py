@@ -46,8 +46,6 @@ class VpicConfig:
             lets later-arriving ranks observe storage contention).
         sample_bytes: Size of the real representative buffer each rank
             compresses (ratio measurement).
-        barrier_per_step: Synchronise ranks between timesteps, as the
-            bulk-synchronous original does.
     """
 
     nprocs: int
@@ -56,7 +54,6 @@ class VpicConfig:
     compute_seconds: float = 60.0
     compute_jitter: float = 0.2
     sample_bytes: int = 64 * KiB
-    barrier_per_step: bool = True
 
     def __post_init__(self) -> None:
         if self.nprocs < 1 or self.timesteps < 1:
@@ -172,8 +169,9 @@ def run_vpic(
                 yield Delay(charge.cpu_seconds)
             for piece in charge.pieces:
                 yield IO(piece.tier, piece.nbytes, "write")
-            if config.barrier_per_step:
-                yield from ctx.barrier()
+            # ranks synchronise between timesteps, as the bulk-synchronous
+            # original does
+            yield from ctx.barrier()
 
     spawn_ranks(sim, config.nprocs, program)
     elapsed = sim.run()

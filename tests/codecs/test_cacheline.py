@@ -17,9 +17,7 @@ import pytest
 from repro.codecs import (
     EXTENDED_LIBRARIES,
     CompressionLibraryPool,
-    SubTaskHeader,
     get_codec,
-    pack_headers,
 )
 from repro.codecs.cacheline import (
     bdi_decode,
@@ -178,23 +176,6 @@ def test_fpc_raw_body_validation() -> None:
     bad[0] = 0xFF
     with pytest.raises(CorruptDataError):
         fpc_decode(bytes(bad), 8)
-
-
-# -- vectorised header helpers ------------------------------------------------
-
-
-def _headers() -> list[SubTaskHeader]:
-    return [
-        SubTaskHeader(0, 4096, 13, 1024),
-        SubTaskHeader(4096, 4096, 14, 2048),
-        SubTaskHeader(8192, 100, 0, 100),
-    ]
-
-
-def test_pack_headers_matches_sequential() -> None:
-    headers = _headers()
-    assert pack_headers(headers) == b"".join(h.pack() for h in headers)
-    assert pack_headers([]) == b""
 
 
 # -- pool wiring --------------------------------------------------------------

@@ -19,7 +19,12 @@ from repro.ccp import (
     ObservationKey,
 )
 from repro.core import HCompress
-from repro.core.config import HCompressConfig, ObservabilityConfig, QosConfig
+from repro.core.config import (
+    HCompressConfig,
+    LifecycleConfig,
+    ObservabilityConfig,
+    QosConfig,
+)
 from repro.errors import (
     CapacityError,
     HCompressError,
@@ -238,3 +243,23 @@ def test_compress_batch_duplicate_id_raises_like_sequential(engine) -> None:
     # everything before the duplicate landed, exactly like a loop would
     for i in range(4):
         assert f"dup.{i}" in engine.manager
+
+
+def test_lifecycle_tracks_tasks_acked_before_a_mid_batch_error(seed) -> None:
+    """Every acked write is visible to the lifecycle daemon, also when a
+    later item of the same batch raises (the batch driver used to note
+    writes only after the whole loop, leaving them at temperature 0)."""
+    sample = vpic_sample(4 * KiB, np.random.default_rng(0))
+    spec = {"data": sample, "hints": VPIC_HINTS, "modeled_size": 64 * KiB}
+    engine = HCompress(
+        ares_hierarchy(16 * MiB, 32 * MiB, 256 * MiB, nodes=2),
+        HCompressConfig(lifecycle=LifecycleConfig(enabled=True)),
+        seed=seed,
+    )
+    with engine:
+        with pytest.raises(SchemaError, match="already written"):
+            engine.compress_batch(
+                [dict(spec, task_id=tid) for tid in ("a", "b", "a")]
+            )
+        assert engine.manager.task_ids() == ["a", "b"]
+        assert list(engine.lifecycle.access) == ["a", "b"]

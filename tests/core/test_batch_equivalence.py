@@ -14,6 +14,13 @@ performance shape, never a semantics shape. Explicitly excluded batch
 gauges (plan-cache LRU recency, predictor table-cache hit/miss split,
 ``parallel_pieces``, anatomy wall-clock seconds, snapshot timestamps)
 are the *only* tolerated divergences and are not compared here.
+
+The burst comes in the shapes the run lane can meet — identity pieces, a
+coded piece fed from the sample, the recovery journal on, and (driven at
+the manager, since no organic plan splits a task without moving its
+tier's clamped remaining) two pieces on two tiers — and each case
+asserts the bulk body actually ran that shape, so none can pass by
+silently falling back to the per-piece body.
 """
 
 from __future__ import annotations
@@ -22,7 +29,20 @@ import numpy as np
 import pytest
 
 from repro.core import HCompress
-from repro.core.config import HCompressConfig
+from repro.core.config import (
+    HCompressConfig,
+    ObservabilityConfig,
+    QosConfig,
+    RecoveryConfig,
+    ScrubConfig,
+)
+from repro.core.manager import CompressionManager
+from repro.datagen import synthetic_buffer
+from repro.errors import DeadlineExceededError, TaskShedError
+from repro.hcdp import IOTask
+from repro.hcdp.schema import Schema, SubTaskPlan
+from repro.qos import QosClass
+from repro.recovery import JOURNAL_NAME
 from repro.shard import ShardConfig, ShardedHCompress
 from repro.tiers import ares_hierarchy, ares_specs
 from repro.units import GiB, KiB, MiB
@@ -32,17 +52,25 @@ from repro.workloads.vpic import VPIC_HINTS
 TASKS = 192
 
 
-@pytest.fixture(scope="module")
-def burst() -> list[dict]:
+def _burst(coded: bool = False) -> list[dict]:
     """A fig-7-shaped VPIC checkpoint burst: every rank writes the same
     modeled slab each timestep, sampled from one shared buffer. Each item
     carries a tenant so the sharded tests exercise per-item tenant
-    routing (inert on an unsharded engine without QoS)."""
-    sample = vpic_sample(64 * KiB, np.random.default_rng(0))
+    routing (inert on an unsharded engine without QoS).
+
+    The default is the hinted VPIC sample the planner stores verbatim;
+    ``coded`` an un-hinted gamma buffer it compresses, so every piece
+    goes through the sample-ratio LRU."""
+    if coded:
+        sample, hints = synthetic_buffer(
+            "float64", "gamma", 64 * KiB, np.random.default_rng(0)
+        ), None
+    else:
+        sample, hints = vpic_sample(64 * KiB, np.random.default_rng(0)), VPIC_HINTS
     return [
         {
             "data": sample,
-            "hints": VPIC_HINTS,
+            "hints": hints,
             "modeled_size": 8 * MiB,
             "task_id": f"vpic.{i // 64}.{i % 64}",  # timestep.rank
             "tenant": f"tenant-{i % 7}",
@@ -51,12 +79,54 @@ def burst() -> list[dict]:
     ]
 
 
-def _engine(seed) -> HCompress:
+@pytest.fixture(scope="module")
+def burst() -> list[dict]:
+    return _burst()
+
+
+def _engine(seed, journal_dir=None) -> HCompress:
+    recovery = (
+        RecoveryConfig(enabled=True, directory=journal_dir, fsync=False)
+        if journal_dir is not None
+        else RecoveryConfig()
+    )
     return HCompress(
         ares_hierarchy(64 * MiB, 128 * MiB, 4 * GiB, nodes=2),
-        HCompressConfig(),
+        HCompressConfig(recovery=recovery),
         seed=seed,
     )
+
+
+@pytest.fixture()
+def run_shapes(monkeypatch) -> list[tuple]:
+    """``(codecs, tiers, journal on, tasks written)`` per bulk-body call."""
+    shapes: list[tuple] = []
+    bulk = CompressionManager._execute_write_run
+
+    def spy(self, schemas, template, ctx):
+        results = bulk(self, schemas, template, ctx)
+        shapes.append(
+            (
+                tuple(p.plan.codec for p in template.pieces),
+                tuple(p.tier for p in template.pieces),
+                self.journal is not None,
+                len(results),
+            )
+        )
+        return results
+
+    monkeypatch.setattr(CompressionManager, "_execute_write_run", spy)
+    return shapes
+
+
+def _assert_ran_in_bulk(run_shapes, burst, journal: bool) -> None:
+    coded = burst[0]["hints"] is None
+    ran = [
+        shape for shape in run_shapes
+        if shape[3] and shape[2] == journal
+        and all((codec != "none") == coded for codec in shape[0])
+    ]
+    assert sum(shape[3] for shape in ran) > len(burst) // 2, run_shapes
 
 
 def _counters(e: HCompress) -> dict:
@@ -125,12 +195,26 @@ def _assert_write_equivalent(ref_results, ref_engine, results, engine):
     assert _counters(ref_engine) == _counters(engine)
 
 
-def test_batch_is_byte_identical_to_per_task(seed, burst) -> None:
-    a = _engine(seed)
+def test_batch_is_byte_identical_to_per_task(
+    seed, burst, run_shapes, tmp_path, journal=False
+) -> None:
+    a = _engine(seed, tmp_path / "a" if journal else None)
     seq = [a.compress(**item) for item in burst]
-    b = _engine(seed)
+    assert not run_shapes  # a batch of one never opens the run lane
+    b = _engine(seed, tmp_path / "b" if journal else None)
     bat = b.compress_batch(burst)
     _assert_write_equivalent(seq, a, bat, b)
+    _assert_ran_in_bulk(run_shapes, burst, journal)
+    if journal:
+        a.journal.sync()
+        b.journal.sync()
+        assert (tmp_path / "a" / JOURNAL_NAME).read_bytes() == (
+            tmp_path / "b" / JOURNAL_NAME
+        ).read_bytes()
+    if burst[0]["hints"] is None:
+        # the bulk body replayed the per-piece body's ratio-cache traffic
+        assert a.manager.sample_cache_hits > len(burst) // 2
+        assert list(a.manager._sample_ratios) == list(b.manager._sample_ratios)
 
     # read-back: decompress_batch against per-task decompress
     ids = [item["task_id"] for item in burst]
@@ -145,6 +229,20 @@ def test_batch_is_byte_identical_to_per_task(seed, burst) -> None:
             y.io_seconds, y.pieces,
         )
     assert _counters(a) == _counters(b)
+
+
+@pytest.mark.parametrize(
+    "coded,journal", [(True, False), (False, True), (True, True)],
+    ids=["coded", "journal", "coded-journal"],
+)
+def test_batch_is_byte_identical_in_every_run_shape(
+    seed, coded, journal, run_shapes, tmp_path
+) -> None:
+    """The same test over the other bursts the run lane can meet: a coded
+    piece fed from the sample, the recovery journal on, and both."""
+    test_batch_is_byte_identical_to_per_task(
+        seed, _burst(coded), run_shapes, tmp_path, journal
+    )
 
 
 @pytest.mark.parametrize("shards", [2, 3])
@@ -231,3 +329,165 @@ def test_batch_repeated_calls_extend_identically(seed, burst) -> None:
         a.manager.catalog_snapshot() == b.manager.catalog_snapshot()
     )
     assert _counters(a) == _counters(b)
+
+
+def test_run_body_copies_a_two_tier_template(seed, tmp_path) -> None:
+    """The bulk body against the per-piece body on the shape no organic
+    plan reaches: two pieces per task on two tiers, one coded, journal
+    on. Same receipts, catalog, ledger, tier key order, ratio-cache
+    traffic and journal bytes."""
+    sample = synthetic_buffer(
+        "float64", "gamma", 64 * KiB, np.random.default_rng(0)
+    )
+    half = 4 * MiB
+    plans = (
+        SubTaskPlan(0, half, "ram", 0, "none", 1.0, half + 16, 0.0),
+        SubTaskPlan(half, half, "nvme", 1, "zlib", 2.0, half // 2 + 16, 0.0),
+    )
+
+    def written(name: str, bulk: bool):
+        engine = _engine(seed, tmp_path / name)
+        manager = engine.manager
+        analysis = engine.analyzer.analyze(sample, None)
+        schemas = [
+            Schema(
+                task=IOTask(f"two.{i}", 2 * half, analysis, data=sample),
+                pieces=list(plans),
+            )
+            for i in range(6)
+        ]
+        ctx = manager.batch_context()
+        results = [manager.execute_write_batched(schemas[0], ctx)]
+        if bulk:
+            results += manager._execute_write_run(schemas[1:], results[0], ctx)
+        else:
+            results += [manager.execute_write_batched(s, ctx) for s in schemas[1:]]
+        engine.journal.sync()
+        return engine, results
+
+    a, per_piece = written("a", bulk=False)
+    b, bulk = written("b", bulk=True)
+    assert len(bulk) == 6 and len(bulk[-1].pieces) == 2
+    assert {p.tier for p in bulk[-1].pieces} == {"ram", "nvme"}
+    for ra, rb in zip(per_piece, bulk):
+        assert _piece_view(ra) == _piece_view(rb)
+        assert ra.observations == rb.observations
+    assert a.manager.catalog_snapshot() == b.manager.catalog_snapshot()
+    assert [list(t.keys()) for t in a.hierarchy] == [
+        list(t.keys()) for t in b.hierarchy
+    ]
+    assert _counters(a) == _counters(b)
+    assert (tmp_path / "a" / JOURNAL_NAME).read_bytes() == (
+        tmp_path / "b" / JOURNAL_NAME
+    ).read_bytes()
+
+
+# -- the armed engine: a batch of one vs a batch of many ----------------------
+
+# Families that carry measured wall-clock seconds; everything else the
+# registry exports is a function of the task sequence alone.
+WALL_CLOCK_FAMILIES = {"hcompress_plan_seconds", "hcompress_anatomy_seconds_total"}
+
+
+def _armed(seed, directory, **qos) -> HCompress:
+    return HCompress(
+        ares_hierarchy(64 * MiB, 128 * MiB, 4 * GiB, nodes=2),
+        HCompressConfig(
+            observability=ObservabilityConfig(enabled=True),
+            qos=QosConfig(enabled=True, **qos),
+            recovery=RecoveryConfig(
+                enabled=True, directory=directory, fsync=False
+            ),
+            scrub=ScrubConfig(content_digests=True),
+        ),
+        seed=seed,
+    )
+
+
+def _armed_view(engine: HCompress) -> dict:
+    engine.journal.sync()
+    metrics = engine.sync_telemetry().export_metrics()["metrics"]
+    spans = sorted(engine.obs.tracer.spans, key=lambda span: span.index)
+    return {
+        "catalog": engine.manager.catalog_snapshot(),
+        "journal": (
+            engine.config.recovery.directory / JOURNAL_NAME
+        ).read_bytes(),
+        "metrics": {
+            name: family for name, family in metrics.items()
+            if name not in WALL_CLOCK_FAMILIES
+        },
+        "spans": [(span.name, span.depth) for span in spans],
+    }
+
+
+def _armed_items() -> list[dict]:
+    """Real bytes (digested, analysed) between modeled checkpoint slabs."""
+    rng = np.random.default_rng(0)
+    sample = vpic_sample(64 * KiB, rng)
+    gamma = synthetic_buffer("float64", "gamma", 32 * KiB, rng)
+    items = []
+    for i in range(24):
+        if i % 3 == 2:
+            items.append({"data": gamma, "task_id": f"real.{i}"})
+        else:
+            items.append(
+                {"data": sample, "hints": VPIC_HINTS,
+                 "modeled_size": 8 * MiB, "task_id": f"slab.{i}",
+                 "tenant": f"tenant-{i % 2}"}
+            )
+    return items
+
+
+def test_armed_batch_of_one_equals_batch_of_many(seed, tmp_path) -> None:
+    """With obs, QoS, the journal and content digests all on, a per-task
+    ``compress`` loop and one ``compress_batch`` call are the same code
+    run N times: same catalog, journal bytes, metrics and span tree."""
+    items = _armed_items()
+    roomy = {"max_backlog_bytes": 1 << 40}  # the default sheds the 8th slab
+    a = _armed(seed, tmp_path / "a", **roomy)
+    for item in items:
+        a.compress(**item)
+    b = _armed(seed, tmp_path / "b", **roomy)
+    b.compress_batch(items)
+    view_a, view_b = _armed_view(a), _armed_view(b)
+    assert view_a == view_b
+    # each task's analysis happens inside its own compress region
+    spans = {span.index: span for span in b.obs.tracer.spans}
+    analyses = [s for s in spans.values() if s.name == "analyzer.analyze"]
+    assert len(analyses) == len(items)
+    assert {spans[s.parent_index].name for s in analyses} == {
+        "hcompress.compress"
+    }
+
+
+@pytest.mark.parametrize(
+    "error,call,qos",
+    [
+        (
+            TaskShedError,
+            {"qos_class": QosClass.BEST_EFFORT},
+            {"max_backlog_bytes": 40 * MiB, "drain_bytes_per_s": 1.0,
+             "brownout_enabled": False},
+        ),
+        # 2 ms: RAM takes an 8 MiB slab in time, no tier a 1 GiB one
+        (DeadlineExceededError, {"deadline": 2e-3}, {"max_backlog_bytes": 1 << 40}),
+    ],
+    ids=["shed", "deadline"],
+)
+def test_armed_batch_raises_at_the_same_item(
+    seed, tmp_path, error, call, qos
+) -> None:
+    """A typed QoS refusal surfaces at the same item either way, with the
+    same tasks acknowledged ahead of it and the same state left behind."""
+    items = _armed_items()
+    items[7] = dict(items[7], modeled_size=1 * GiB)
+    a = _armed(seed, tmp_path / "a", **qos)
+    with pytest.raises(error):
+        for item in items:
+            a.compress(**item, **call)
+    b = _armed(seed, tmp_path / "b", **qos)
+    with pytest.raises(error):
+        b.compress_batch(items, **call)
+    assert 0 < len(a.manager.task_ids()) < len(items)
+    assert _armed_view(a) == _armed_view(b)

@@ -12,7 +12,6 @@ class TestDefaults:
         config = ReplicationConfig()
         assert not config.enabled
         assert config.replicas == 1
-        assert config.auto_failover
 
     def test_frozen(self) -> None:
         config = ReplicationConfig()

@@ -1,7 +1,9 @@
 """Exception-hygiene lint: the AST checks work and the tree is clean.
 
 Thin pytest wrapper over ``tools/check_exceptions.py`` so a silently
-swallowed error fails the tier-1 suite, not just the CI lint job.
+swallowed error fails the tier-1 suite, not just the CI lint job — and
+over ``tools/check_config_fields.py``, so a ``*Config`` field nothing
+sets does too.
 """
 
 from __future__ import annotations
@@ -107,3 +109,25 @@ def test_repo_is_clean(check_exceptions, capsys) -> None:
     """The whole tree passes with the committed (empty) allowlist."""
     assert check_exceptions.main([]) == 0
     assert "check_exceptions: ok" in capsys.readouterr().out
+
+
+def test_config_field_nobody_sets_is_flagged_and_repo_is_clean(capsys) -> None:
+    spec = importlib.util.spec_from_file_location(
+        "check_config_fields", REPO / "tools" / "check_config_fields.py"
+    )
+    lint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lint)
+    defining = textwrap.dedent("""
+        class DemoConfig:
+            used: int = 1
+            unused: int = 2
+            also_set_here_only: int = 3
+        DemoConfig(also_set_here_only=4)
+    """)
+    sources = {"src/demo.py": defining, "tests/test_demo.py": "DemoConfig(used=5)"}
+    assert lint.unset_fields(sources) == [
+        "src/demo.py: DemoConfig.unused",
+        "src/demo.py: DemoConfig.also_set_here_only",
+    ]
+    assert lint.main() == 0
+    assert "check_config_fields: ok" in capsys.readouterr().out
