@@ -35,7 +35,7 @@ import pytest
 from repro.ccp import SeedData
 from repro.core import HCompressConfig, HCompressProfiler
 from repro.core.config import RecoveryConfig
-from repro.faults import FailoverChaosConfig, run_failover_chaos
+from repro.faults import run_scenario, scenario
 from repro.replication import ReplicationConfig
 from repro.shard import ShardConfig, ShardedHCompress
 from repro.tiers import ares_specs
@@ -142,7 +142,8 @@ def _one_write_burst(
 
 def run_recovery(workload: dict) -> dict:
     """One kill-and-promote storm; the modeled-clock recovery metrics."""
-    outcome = run_failover_chaos(FailoverChaosConfig(
+    outcome = run_scenario(scenario(
+        "failover",
         shards=workload["shards"],
         tasks=workload["tasks"] // 2,
         tenants=workload["tenants"],
@@ -162,7 +163,7 @@ def run_recovery(workload: dict) -> dict:
         "recovery_seconds": round(outcome.unavailability_seconds, 6),
         "recovery_bound_seconds": round(outcome.unavailability_bound, 6),
         "promotion_seconds": workload["promotion_seconds"],
-        "failovers": outcome.failovers,
+        "failovers": outcome.promotions,
         "lost_local_tail": outcome.lost_local_tail,
         "missing_acked": outcome.missing_acked,
         "mismatched": outcome.mismatched,

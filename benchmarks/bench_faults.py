@@ -10,16 +10,15 @@ BASE and MTNC baselines die on their first transient error.
 
 from __future__ import annotations
 
-from repro.faults import ChaosConfig, default_chaos_plan, run_chaos
+from repro.faults import run_scenario, scenario
 
 
 def test_chaos_vpic_outage(benchmark, seed) -> None:
-    config = ChaosConfig()
-    plan = default_chaos_plan(config)
-
     outcomes = benchmark.pedantic(
         lambda: {
-            backend: run_chaos(backend, plan=plan, config=config, seed=seed)
+            backend: run_scenario(
+                scenario("device", backend=backend), seed=seed
+            )
             for backend in ("HC", "BASE", "MTNC")
         },
         rounds=1,
@@ -34,13 +33,13 @@ def test_chaos_vpic_outage(benchmark, seed) -> None:
 
     hc, base, mtnc = outcomes["HC"], outcomes["BASE"], outcomes["MTNC"]
     # HC survives the outage with every buffer intact...
-    assert hc.all_data_intact
-    assert hc.tasks_written == config.ranks * config.steps
+    assert hc.holds
+    assert hc.completed == hc.config.tasks
     # ...and actually exercised the resilient paths to do it.
     assert hc.retries > 0
     assert hc.failovers + hc.replans + hc.degraded_plans > 0
     assert hc.read_repairs > 0 or hc.corruption_detected == 0
     # The baselines have no retry/failover/checksum story: first transient
     # error kills them.
-    assert not base.all_data_intact
-    assert not mtnc.all_data_intact
+    assert not base.holds
+    assert not mtnc.holds

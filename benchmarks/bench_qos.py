@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from repro.core import HCompress, HCompressConfig
-from repro.faults import OverloadConfig, run_overload
+from repro.faults import run_scenario, scenario
 from repro.qos import QosConfig
 from repro.tiers import ares_hierarchy
 from repro.units import GiB, KiB, MiB
@@ -106,9 +106,9 @@ def test_disabled_engine_has_no_governor(seed) -> None:
 def test_p99_latency_budget_under_2x_load(benchmark, seed) -> None:
     """2x offered load + flapping tier: admitted-and-completed tasks keep
     their modeled p99 within the per-task deadline budget."""
-    config = OverloadConfig(tasks=64, load_factor=2.0, deadline=8.0)
+    config = scenario("overload", tasks=64, load_factor=2.0, deadline=8.0)
     outcome = benchmark.pedantic(
-        lambda: run_overload(config, seed=seed), rounds=1, iterations=1
+        lambda: run_scenario(config, seed=seed), rounds=1, iterations=1
     )
     assert outcome.holds, outcome.summary()
     assert outcome.completed >= 16, outcome.summary()

@@ -33,7 +33,7 @@ from .core import (
 )
 from .core.config import RecoveryConfig, ResilienceConfig
 from .errors import HCompressError
-from .faults import FaultInjector, FaultPlan, run_chaos
+from .faults import FaultInjector, FaultPlan, run_scenario
 from .hcdp import (
     ARCHIVAL_IO,
     ASYNC_IO,
@@ -90,7 +90,7 @@ __all__ = [
     "get_codec",
     "hcompress_session",
     "load_seed",
-    "run_chaos",
+    "run_scenario",
     "save_seed",
     "__version__",
 ]

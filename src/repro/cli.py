@@ -49,6 +49,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -139,263 +140,135 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _crash_detail(outcome) -> str:
-    return (
-        f"      journal: {outcome.records_replayed} records replayed, "
-        f"truncated tail={outcome.journal_truncated}; swept "
-        f"{outcome.orphans_evicted} orphans, "
-        f"{outcome.duplicates_evicted} duplicates; "
-        f"idempotent replay={outcome.replay_idempotent}, "
-        f"deterministic restore={outcome.double_restore_identical}"
-    )
+def _chaos_scenario(args: argparse.Namespace):
+    """The scenario the ``chaos`` / ``recover`` flags select (the crash
+    site of a ``--crash-at all`` sweep is filled in per point)."""
+    from .errors import HCompressError
+    from .faults import FaultPlan, scenario
 
-
-def _cmd_crash(args: argparse.Namespace) -> int:
-    """The ``chaos --crash-at`` / ``recover`` harness driver."""
-    from .faults import CrashConfig, run_crash_recovery, sweep_crash_sites
-    from .recovery import CrashPlan
-
-    # Arming a scrub.* site implies scrub mode — the site can only fire
-    # while the scrubber is repairing planted rot.
-    scrub = getattr(args, "scrub", False) or (
-        args.crash_at is not None
-        and args.crash_at != "all"
-        and args.crash_at.startswith("scrub.")
-    )
-    config = CrashConfig(
-        rng_seed=args.rng_seed,
-        scrub=scrub,
-        corrupt_every=getattr(args, "corrupt_every", 2) if scrub else 0,
-        # Lifecycle migrations rename piece keys mid-run, which would
-        # decouple the planted rot from the mirror the scrubber heals
-        # from — scrub mode runs with the daemon off (as the sweep does).
-        lifecycle=not scrub,
-    )
-    if args.crash_at == "all":
-        hits = (1,) if getattr(args, "quick", False) else (1, 2)
-        outcomes = sweep_crash_sites(hits=hits, config=config)
-        violations = 0
-        for outcome in outcomes:
-            plan = outcome.plan
-            status = "ok  " if outcome.holds else "FAIL"
-            fired = "crashed" if outcome.crashed else "not reached"
-            print(f"{status} {plan.site}@{plan.hit}: {fired}")
-            if not outcome.holds:
-                violations += 1
-                print(_crash_detail(outcome))
-        fired_count = sum(1 for o in outcomes if o.crashed)
-        print(
-            f"\n{len(outcomes)} crash points: {fired_count} fired, "
-            f"{violations} invariant violations"
-        )
-        return 0 if violations == 0 else 1
-    plan = CrashPlan(
-        site=args.crash_at, hit=args.crash_hit, seed=args.rng_seed
-    )
-    outcome = run_crash_recovery(
-        plan=plan, config=config, recovery_dir=getattr(args, "dir", None)
-    )
-    print(outcome.summary())
-    print(_crash_detail(outcome))
-    if scrub:
-        print(
-            f"      scrub: {outcome.corruptions_planted} corruptions "
-            f"planted, {outcome.scrub_repairs} repairs; after restore: "
-            f"{outcome.quarantined_after} quarantined, "
-            f"{outcome.fsck_errors_after} fsck errors"
-        )
-    return 0 if outcome.holds else 1
-
-
-def _cmd_overload(args: argparse.Namespace) -> int:
-    """The ``chaos --overload`` storm driver (docs/RESILIENCE.md)."""
-    from .faults import OverloadConfig, run_overload
-    from .recovery import CRASH_SITES
-
-    base = dict(
-        tasks=args.overload_tasks,
-        load_factor=args.load_factor,
-        rng_seed=args.rng_seed,
-    )
-    if args.crash_at == "all":
-        violations = 0
-        for site in CRASH_SITES:
-            outcome = run_overload(OverloadConfig(
-                crash_site=site, crash_hit=args.crash_hit, **base
-            ))
-            status = "ok  " if outcome.holds else "FAIL"
-            fired = "crashed" if outcome.crashed else "not reached"
-            print(f"{status} {site}@{args.crash_hit}: {fired}")
-            if not outcome.holds:
-                violations += 1
-                print(f"      {outcome.summary()}")
-        print(f"\n{len(CRASH_SITES)} storm crash points: "
-              f"{violations} contract violations")
-        return 0 if violations == 0 else 1
-    outcome = run_overload(OverloadConfig(
-        crash_site=args.crash_at, crash_hit=args.crash_hit, **base
-    ))
-    print(outcome.summary())
-    return 0 if outcome.holds else 1
-
-
-def _cmd_shard_chaos(args: argparse.Namespace) -> int:
-    """The ``chaos --kill-shard`` shard-failover harness driver."""
-    from .faults import ShardChaosConfig, run_shard_chaos
-
-    target = args.kill_shard
-    base = dict(
-        shards=args.shards,
-        tasks=args.shard_tasks,
-        tenants=args.tenants,
-        rng_seed=args.rng_seed,
-    )
-    if target == "none":
-        config = ShardChaosConfig(**base)
-    elif target == "auto":
-        config = ShardChaosConfig(kill_owner_of="tenant-0", **base)
-    else:
-        try:
-            shard = int(target)
-        except ValueError:
-            print(
-                f"--kill-shard must be a shard id, 'auto', or 'none', "
-                f"not {target!r}",
-                file=sys.stderr,
+    site = None if args.crash_at in (None, "all") else args.crash_at
+    faults = dict(crash_site=site, crash_hit=args.crash_hit)
+    if args.failover or args.kill_shard is not None:
+        target = args.kill_shard if args.kill_shard is not None else "auto"
+        if target == "auto":
+            faults["kill_owner_of"] = "tenant-0"
+        elif target != "none":
+            if not target.isdigit():
+                raise HCompressError(
+                    f"--kill-shard must be a shard id, 'auto', or 'none', "
+                    f"not {target!r}"
+                )
+            faults["kill_shard"] = int(target)
+        if args.failover:
+            faults.update(
+                replicas=args.replicas,
+                promotion_seconds=args.promotion_seconds,
             )
-            return 2
-        config = ShardChaosConfig(kill_shard=shard, **base)
-    outcome = run_shard_chaos(config)
-    print(outcome.summary())
-    if args.verbose:
-        per_shard: dict[tuple[int, str], int] = {}
-        for _, _, _, shard_id, status in outcome.events:
-            key = (shard_id, status)
-            per_shard[key] = per_shard.get(key, 0) + 1
-        for (shard_id, status), count in sorted(per_shard.items()):
-            print(f"      shard {shard_id}: {count} {status}")
-    return 0 if outcome.holds else 1
-
-
-def _cmd_failover_chaos(args: argparse.Namespace) -> int:
-    """The ``chaos --failover`` replicated kill-and-promote driver."""
-    from .faults import FailoverChaosConfig, run_failover_chaos
-    from .recovery import CRASH_SITES
-
-    base = dict(
-        shards=args.shards,
-        tasks=args.shard_tasks,
-        tenants=args.tenants,
-        replicas=args.replicas,
-        promotion_seconds=args.promotion_seconds,
-        # Keep the default 24/64 kill point and 12/64 checkpoint point
-        # proportional when the storm is resized.
-        kill_after=max(1, args.shard_tasks * 3 // 8),
-        checkpoint_after=max(1, args.shard_tasks * 3 // 16),
-        rng_seed=args.rng_seed,
-    )
-    target = args.kill_shard if args.kill_shard is not None else "auto"
-    if target == "none":
-        kill = {}
-    elif target == "auto":
-        kill = dict(kill_owner_of="tenant-0")
+        return scenario(
+            "failover" if args.failover else "shard_kill",
+            shards=args.shards,
+            tasks=args.shard_tasks,
+            tenants=args.tenants,
+            # Keep the default 24/64 kill point and 12/64 checkpoint point
+            # proportional when the storm is resized.
+            kill_after=max(1, args.shard_tasks * 3 // 8),
+            checkpoint_after=max(1, args.shard_tasks * 3 // 16),
+            rng_seed=args.rng_seed,
+            **faults,
+        )
+    if args.overload:
+        return scenario(
+            "overload", tasks=args.overload_tasks,
+            load_factor=args.load_factor, rng_seed=args.rng_seed, **faults,
+        )
+    # Arming a scrub.* site implies the scrub scenario — the site can only
+    # fire while the scrubber is repairing planted rot.
+    if args.scrub or (site is not None and site.startswith("scrub.")):
+        config = scenario(
+            "scrub", corrupt_every=args.corrupt_every,
+            rng_seed=args.rng_seed, **faults,
+        )
+    elif args.crash_at is not None:
+        config = scenario("crash", rng_seed=args.rng_seed, **faults)
     else:
-        try:
-            kill = dict(kill_shard=int(target))
-        except ValueError:
-            print(
-                f"--kill-shard must be a shard id, 'auto', or 'none', "
-                f"not {target!r}",
-                file=sys.stderr,
-            )
-            return 2
-    if args.crash_at == "all":
-        sites = tuple(
-            s for s in CRASH_SITES if s.startswith("replication.")
+        return scenario(
+            "device",
+            tasks=args.ranks * args.steps,
+            ranks=args.ranks,
+            task_kib=args.step_kib,
+            rng_seed=args.rng_seed,
+            plan=FaultPlan.from_json(args.plan) if args.plan else None,
         )
-        violations = 0
-        for site in sites:
-            outcome = run_failover_chaos(FailoverChaosConfig(
-                crash_site=site, crash_hit=args.crash_hit, **base, **kill
-            ))
-            status = "ok  " if outcome.holds else "FAIL"
-            fired = "crashed" if outcome.crash_fired else "not reached"
-            print(f"{status} {site}@{args.crash_hit}: {fired}")
-            if not outcome.holds:
-                violations += 1
-                print(f"      {outcome.summary()}")
-        print(
-            f"\n{len(sites)} promotion crash points: "
-            f"{violations} contract violations"
-        )
-        return 0 if violations == 0 else 1
-    if args.crash_at is not None and not args.crash_at.startswith(
-        "replication."
-    ):
-        print(
-            "--failover arms replication.* crash sites only "
-            "(use plain --crash-at for the engine sites)",
-            file=sys.stderr,
-        )
-        return 2
-    outcome = run_failover_chaos(FailoverChaosConfig(
-        crash_site=args.crash_at, crash_hit=args.crash_hit, **base, **kill
-    ))
-    print(outcome.summary())
-    if args.verbose:
-        per_shard: dict[tuple[int, str], int] = {}
-        for _, _, _, shard_id, status in outcome.events:
-            key = (shard_id, status)
-            per_shard[key] = per_shard.get(key, 0) + 1
-        for (shard_id, status), count in sorted(per_shard.items()):
-            print(f"      shard {shard_id}: {count} {status}")
-    return 0 if outcome.holds else 1
+    return replace(config, plan=replace(config.plan, seed=args.rng_seed))
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from .faults import ChaosConfig, FaultPlan, default_chaos_plan, run_chaos
+    """Every ``chaos`` mode and ``recover``: one scenario, or a sweep."""
+    from .errors import HCompressError
+    from collections import Counter
 
-    if getattr(args, "failover", False):
-        return _cmd_failover_chaos(args)
-    if getattr(args, "kill_shard", None) is not None:
-        return _cmd_shard_chaos(args)
-    if getattr(args, "overload", False):
-        return _cmd_overload(args)
-    if args.crash_at is not None:
-        return _cmd_crash(args)
-    config = ChaosConfig(
-        ranks=args.ranks,
-        steps=args.steps,
-        step_kib=args.step_kib,
-        rng_seed=args.rng_seed,
-    )
-    plan = (
-        FaultPlan.from_json(args.plan)
-        if args.plan is not None
-        else default_chaos_plan(config)
-    )
-    backends = ("HC", "BASE", "MTNC") if args.backend == "all" else (args.backend,)
-    print(
-        f"fault plan: {len(plan.events)} events over {plan.horizon:.1f}s "
-        f"(seed {plan.seed}); workload: {config.ranks} ranks x "
-        f"{config.steps} steps x {config.step_kib} KiB\n"
-    )
-    failed = 0
-    for backend in backends:
-        outcome = run_chaos(backend, plan=plan, config=config)
-        print(outcome.summary())
-        if args.verbose:
-            print(
-                f"      degraded plans={outcome.degraded_plans} "
-                f"corruption detected={outcome.corruption_detected} "
-                f"injected: {outcome.injected_errors} transient errors, "
-                f"{outcome.injected_corruptions} corruptions"
+    from .faults import run_scenario, sweep_crash_sites
+    from .faults.scenario import BACKENDS
+    from .recovery import CRASH_SITES
+
+    try:
+        config = _chaos_scenario(args)
+    except HCompressError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    if args.crash_at == "all":
+        if config.qos or config.shards is not None:
+            # A storm dies at every site it can reach, at --crash-hit.
+            outcomes = sweep_crash_sites(
+                hits=(args.crash_hit,), base=config, sites=tuple(
+                    s for s in CRASH_SITES
+                    if config.shards is None or s.startswith("replication.")
+                ),
             )
-        if not outcome.all_data_intact:
-            failed += 1
-    if len(backends) == 1:
-        return 0 if failed == 0 else 1
-    return 0  # comparison mode: baseline failures are the expected result
+        else:
+            outcomes = sweep_crash_sites(hits=(1,) if args.quick else (1, 2))
+        for outcome in outcomes:
+            c = outcome.config
+            status = "ok  " if outcome.holds else "FAIL"
+            fired = "crashed" if outcome.crashed else "not reached"
+            print(f"{status} {c.crash_site}@{c.crash_hit}: {fired}")
+            if not outcome.holds:
+                print(f"      {outcome.summary()}")
+        violations = sum(not outcome.holds for outcome in outcomes)
+        print(
+            f"\n{len(outcomes)} crash points: "
+            f"{sum(o.crashed for o in outcomes)} fired, "
+            f"{violations} contract violations"
+        )
+        return 0 if violations == 0 else 1
+    configs = [config]
+    if config.name == "chaos":
+        plan = config.fault_plan
+        print(
+            f"fault plan: {len(plan.events)} events over {plan.horizon:.1f}s "
+            f"(seed {plan.seed}); workload: {args.ranks} ranks x "
+            f"{args.steps} steps x {args.step_kib} KiB\n"
+        )
+        configs = [
+            replace(config, backend=backend) for backend in BACKENDS
+            if args.backend in (backend, "all")
+        ]
+    failed = 0
+    for config in configs:
+        outcome = run_scenario(config, root_dir=args.dir)
+        print(outcome.summary())
+        if args.verbose and config.shards is not None:
+            per_shard = Counter((e.shard, e.status) for e in outcome.events)
+            for (shard_id, status), count in sorted(per_shard.items()):
+                print(f"      shard {shard_id}: {count} {status}")
+        # A crash-free scrub run that planted nothing, or left a plant
+        # unhealed, proved nothing about the scrubber.
+        healed = not config.scrub or config.crash_site is not None or (
+            0 < outcome.corruptions_planted <= outcome.scrub_repairs
+        )
+        failed += not (outcome.holds and healed)
+    # Comparison mode: the baselines failing is the expected result.
+    return int(failed > 0 and len(configs) == 1)
 
 
 def _cmd_replication(args: argparse.Namespace) -> int:
@@ -1326,16 +1199,17 @@ def build_parser() -> argparse.ArgumentParser:
                         "which the shard sheds retryably")
     p.add_argument(
         "--scrub", action="store_true",
-        help="with --crash-at: run the crash harness in scrub mode — "
-             "plant seeded latent corruption between writes and let the "
-             "background scrubber detect and heal it (docs/INTEGRITY.md); "
-             "implied by arming a scrub.* crash site",
+        help="run the scrub scenario instead: plant seeded latent "
+             "corruption between writes and fail unless the background "
+             "scrubber detects and heals every plant (docs/INTEGRITY.md); "
+             "crash-free unless --crash-at is given, and implied by arming "
+             "a scrub.* crash site",
     )
     p.add_argument("--corrupt-every", type=int, default=2,
                    help="with --scrub: plant one at-rest byte flip after "
                         "every Nth write")
     p.add_argument("-v", "--verbose", action="store_true")
-    p.set_defaults(func=_cmd_chaos)
+    p.set_defaults(func=_cmd_chaos, dir=None)
 
     p = sub.add_parser(
         "fsck",
@@ -1385,7 +1259,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quick", action="store_true",
                    help="with --crash-at all: sweep first hits only")
     p.add_argument("--rng-seed", type=int, default=7)
-    p.set_defaults(func=_cmd_crash)
+    p.set_defaults(
+        func=_cmd_chaos, failover=False, kill_shard=None, overload=False,
+        scrub=False, corrupt_every=2, verbose=False,
+    )
 
     p = sub.add_parser(
         "lifecycle",

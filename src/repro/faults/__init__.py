@@ -4,67 +4,53 @@
 executes the plan against a live :class:`~repro.tiers.StorageHierarchy`
 on the simulated clock (:class:`FaultInjector`), interposing
 :class:`FaultyDevice` wrappers for per-operation transient errors and
-read-path corruption; `chaos` runs full workloads under injection and
-reports recovery behaviour (:func:`run_chaos`); `crash` kills the engine at
-seeded crash sites and proves the journal/checkpoint recovery invariants
-(:func:`run_crash_recovery`, :func:`sweep_crash_sites`); `overload` offers
-writes faster than the admission queue drains while a tier flaps, and
-proves the QoS overload contract (:func:`run_overload`); `shard_chaos`
-kills one shard of a sharded deployment mid-storm and proves the
-failure-domain isolation contract (:func:`run_shard_chaos`);
-`failover_chaos` kills a *replicated* primary mid-storm and proves the
-automatic-failover contract — zero acked-write loss, bounded modeled
-unavailability, survivors byte-identical (:func:`run_failover_chaos`);
-`latent` plants seeded *at-rest* bit-rot into already-stored blobs — the
-failure mode the ``repro.scrub`` subsystem detects and self-heals
-(:class:`LatentCorruptionInjector`).
+read-path corruption; `latent` plants seeded *at-rest* bit-rot into
+already-stored blobs — the failure mode the ``repro.scrub`` subsystem
+detects and self-heals (:class:`LatentCorruptionInjector`).
+
+`scenario` is the one chaos runner over all of it — a frozen
+:class:`ScenarioConfig`, the :data:`PRESETS` the CLI and CI run, one
+:func:`run_scenario` driver, one :class:`Outcome`, and
+:func:`sweep_crash_sites` over the crash-site matrix — and `invariants`
+the table of named contracts (:data:`INVARIANTS`) the presets select from.
 """
 
-from .chaos import ChaosConfig, ChaosOutcome, default_chaos_plan, run_chaos
-from .crash import (
-    CrashConfig,
-    CrashOutcome,
-    run_crash_recovery,
+from .device import FaultyDevice
+from .injector import FaultInjector, InjectorStats
+from .invariants import INVARIANTS
+from .latent import LatentCorruption, LatentCorruptionInjector
+from .plan import FaultEvent, FaultKind, FaultPlan
+from .scenario import (
+    PRESETS,
+    Outcome,
+    ScenarioConfig,
+    ScenarioRun,
+    default_chaos_plan,
+    default_seed,
+    flap_plan,
+    run_scenario,
+    scenario,
     sweep_crash_sites,
 )
-from .device import FaultyDevice
-from .failover_chaos import (
-    FailoverChaosConfig,
-    FailoverChaosOutcome,
-    run_failover_chaos,
-    run_failover_crash,
-)
-from .injector import FaultInjector, InjectorStats
-from .latent import LatentCorruption, LatentCorruptionInjector
-from .overload import OverloadConfig, OverloadOutcome, run_overload
-from .plan import FaultEvent, FaultKind, FaultPlan
-from .shard_chaos import ShardChaosConfig, ShardChaosOutcome, run_shard_chaos
 
 __all__ = [
-    "ChaosConfig",
-    "ChaosOutcome",
-    "CrashConfig",
-    "CrashOutcome",
     "FaultEvent",
     "FaultInjector",
     "FaultKind",
     "FaultPlan",
-    "FailoverChaosConfig",
-    "FailoverChaosOutcome",
     "FaultyDevice",
+    "INVARIANTS",
     "InjectorStats",
     "LatentCorruption",
     "LatentCorruptionInjector",
-    "OverloadConfig",
-    "OverloadOutcome",
-    "ShardChaosConfig",
-    "ShardChaosOutcome",
+    "Outcome",
+    "PRESETS",
+    "ScenarioConfig",
+    "ScenarioRun",
     "default_chaos_plan",
-    "run_chaos",
-    "run_crash_recovery",
-    "run_failover_chaos",
-    "run_failover_crash",
-    "run_overload",
-    "run_shard_chaos",
+    "default_seed",
+    "flap_plan",
+    "run_scenario",
+    "scenario",
     "sweep_crash_sites",
 ]

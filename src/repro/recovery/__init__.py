@@ -10,7 +10,7 @@ Three pieces give the engine the acked-write-survives-crash discipline:
   bound how much journal a restore must replay.
 * :mod:`~repro.recovery.crashpoints` — named crash sites threaded through
   the write/flush/failover paths, armed by a seeded :class:`CrashPlan`
-  so the chaos harness (:mod:`repro.faults.crash`) can kill the engine at
+  so the chaos runner (:mod:`repro.faults.scenario`) can kill the engine at
   any instrumented moment and prove recovery's invariants.
 
 See docs/RECOVERY.md for the format/invariant reference.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.ccp import SeedData
-from repro.core import HCompressProfiler
+from repro.faults import default_seed
 from repro.tiers import StorageHierarchy, Tier, TierSpec, ares_hierarchy
 from repro.units import GiB, KiB, MiB
 
@@ -20,8 +20,7 @@ def seed() -> SeedData:
     log-size column is constant, its coefficient is unconstrained, and
     predictions at other task sizes extrapolate arbitrarily.
     """
-    profiler = HCompressProfiler(rng=np.random.default_rng(0))
-    return profiler.quick_seed(sizes=(8 * KiB, 32 * KiB))
+    return default_seed()
 
 
 @pytest.fixture()

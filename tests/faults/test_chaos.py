@@ -14,21 +14,21 @@ import pytest
 
 from repro.errors import HCompressError
 from repro.faults import (
-    ChaosConfig,
     FaultKind,
     default_chaos_plan,
-    run_chaos,
+    run_scenario,
+    scenario,
 )
 
 
 @pytest.fixture(scope="module")
 def hc_outcome():
-    return run_chaos("HC")
+    return run_scenario(scenario("device"))
 
 
 class TestPlanShape:
     def test_default_plan_kills_nvme_mid_run(self) -> None:
-        config = ChaosConfig()
+        config = scenario("device")
         plan = default_chaos_plan(config)
         downs = [
             e for e in plan.events
@@ -36,7 +36,7 @@ class TestPlanShape:
         ]
         assert len(downs) == 1
         # Strictly inside the workload window: mid-run, not at the edges.
-        horizon = config.steps * config.step_seconds
+        horizon = config.tasks // config.ranks * config.step_seconds
         assert 0.0 < downs[0].at < horizon
         ups = [
             e for e in plan.events
@@ -47,28 +47,28 @@ class TestPlanShape:
 
     def test_config_validation(self) -> None:
         with pytest.raises(HCompressError):
-            ChaosConfig(ranks=0)
+            scenario("device", ranks=0)
         with pytest.raises(HCompressError):
-            ChaosConfig(steps=0)
+            scenario("device", tasks=0)
         with pytest.raises(HCompressError):
-            ChaosConfig(step_seconds=0.0)
+            scenario("device", step_seconds=0.0)
+        with pytest.raises(HCompressError):
+            scenario("device", invariants=("acked_read_back", "no_such_check"))
 
     def test_unknown_backend_rejected(self) -> None:
         with pytest.raises(HCompressError):
-            run_chaos("ZFS")
+            scenario("device", backend="ZFS")
 
 
 class TestHCompressSurvives:
     def test_completes_under_outage(self, hc_outcome) -> None:
-        assert hc_outcome.completed
         assert hc_outcome.error is None
-        config = ChaosConfig()
-        assert hc_outcome.tasks_written == config.ranks * config.steps
+        assert hc_outcome.completed == hc_outcome.config.tasks == 12
 
     def test_every_buffer_byte_identical(self, hc_outcome) -> None:
         # Criterion (a): all buffers read back byte-identical.
-        assert hc_outcome.all_data_intact
-        assert hc_outcome.verified_intact == hc_outcome.tasks_written
+        assert hc_outcome.holds, hc_outcome.summary()
+        assert hc_outcome.verified_intact == hc_outcome.completed
         assert hc_outcome.mismatched == 0
 
     def test_writes_failed_over_or_replanned(self, hc_outcome) -> None:
@@ -96,7 +96,7 @@ class TestDeterminism:
     def test_same_seed_identical_trace(self, hc_outcome) -> None:
         # Criterion (c): the full retry/failover/injection trace replays
         # exactly under the same seed.
-        replay = run_chaos("HC")
+        replay = run_scenario(scenario("device"))
         assert replay.trace == hc_outcome.trace
         assert replay.retries == hc_outcome.retries
         assert replay.failovers == hc_outcome.failovers
@@ -106,17 +106,17 @@ class TestDeterminism:
         import dataclasses
 
         reseeded = dataclasses.replace(
-            default_chaos_plan(ChaosConfig()), seed=1337
+            default_chaos_plan(scenario("device")), seed=1337
         )
-        other = run_chaos("HC", plan=reseeded)
+        other = run_scenario(scenario("device", plan=reseeded))
         assert other.trace != hc_outcome.trace
 
 
 class TestBaselinesSuffer:
     def test_base_does_not_survive(self) -> None:
-        base = run_chaos("BASE")
-        assert not base.all_data_intact
+        base = run_scenario(scenario("device", backend="BASE"))
+        assert not base.holds
 
     def test_mtnc_does_not_survive(self) -> None:
-        mtnc = run_chaos("MTNC")
-        assert not mtnc.all_data_intact
+        mtnc = run_scenario(scenario("device", backend="MTNC"))
+        assert not mtnc.holds

@@ -4,20 +4,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults import OverloadConfig, run_overload
+from repro.faults import default_seed, flap_plan, run_scenario, scenario
 from repro.qos import QosClass
 
 
 @pytest.fixture(scope="module")
 def storm_seed():
-    from repro.faults.chaos import default_seed
-
     return default_seed()
 
 
 @pytest.fixture(scope="module")
 def storm(storm_seed):
-    return run_overload(OverloadConfig(tasks=32), seed=storm_seed)
+    return run_scenario(scenario("overload", tasks=32), seed=storm_seed)
 
 
 class TestContract:
@@ -42,7 +40,7 @@ class TestContract:
         assert storm.admitted == (
             storm.completed
             + storm.deadline_failures
-            + storm.unavailable_failures
+            + storm.unavailable
         )
 
     def test_acked_data_survives(self, storm) -> None:
@@ -51,13 +49,14 @@ class TestContract:
         assert storm.mismatched == 0 and storm.missing_acked == 0
 
     def test_trace_replays_across_runs(self, storm, storm_seed) -> None:
-        twin = run_overload(OverloadConfig(tasks=32), seed=storm_seed)
+        twin = run_scenario(scenario("overload", tasks=32), seed=storm_seed)
         assert twin.trace == storm.trace
+        assert twin.events == storm.events
         assert twin.shed_by_class == storm.shed_by_class
 
     def test_different_shed_seed_different_lottery(self, storm,
                                                    storm_seed) -> None:
-        other = run_overload(OverloadConfig(tasks=32, rng_seed=99),
+        other = run_scenario(scenario("overload", tasks=32, rng_seed=99),
                              seed=storm_seed)
         assert other.trace != storm.trace
 
@@ -68,8 +67,9 @@ class TestCrashRestart:
         """Overload + flapping tier + process death: the restored engine
         must hold the durability contract and keep the tripped breaker
         quarantined (conservative restore), not resurrect the tier."""
-        outcome = run_overload(
-            OverloadConfig(
+        outcome = run_scenario(
+            scenario(
+                "overload",
                 tasks=32,
                 crash_site="manager.write.post_journal",
                 crash_hit=20,
@@ -86,10 +86,10 @@ class TestCrashRestart:
         """An early crash restores from the bootstrap checkpoint (no
         breaker state yet) — the contract still holds, just without the
         quarantine carry-over."""
-        outcome = run_overload(
-            OverloadConfig(
-                tasks=32, crash_site="manager.write.pre_journal",
-                crash_hit=2,
+        outcome = run_scenario(
+            scenario(
+                "overload", tasks=32,
+                crash_site="manager.write.pre_journal", crash_hit=2,
             ),
             seed=storm_seed,
         )
@@ -101,8 +101,8 @@ class TestKnobs:
     def test_no_overload_no_shedding(self, storm_seed) -> None:
         """At half the drain rate nothing sheds — the storm harness
         does not manufacture sheds out of thin air."""
-        calm = run_overload(
-            OverloadConfig(tasks=16, load_factor=0.5, flap_count=0),
+        calm = run_scenario(
+            scenario("overload", tasks=16, load_factor=0.5, plan=flap_plan(0)),
             seed=storm_seed,
         )
         assert calm.shed == 0
@@ -113,8 +113,8 @@ class TestKnobs:
         from repro.errors import HCompressError
 
         with pytest.raises(HCompressError):
-            OverloadConfig(tasks=0)
+            scenario("overload", tasks=0)
         with pytest.raises(HCompressError):
-            OverloadConfig(load_factor=0.0)
+            scenario("overload", load_factor=0.0)
         with pytest.raises(HCompressError):
-            OverloadConfig(deadline=-1.0)
+            scenario("overload", deadline=-1.0)

@@ -19,7 +19,7 @@ from repro.experiments.fig7_vpic import (
     fig7_hierarchy,
     fig7_vpic_config,
 )
-from repro.faults import ChaosConfig, default_chaos_plan, run_chaos
+from repro.faults import run_scenario, scenario
 from repro.tiers import ares_hierarchy
 from repro.units import GiB, KiB, MiB
 from repro.workloads import HCompressBackend, run_vpic
@@ -114,15 +114,14 @@ class TestSessionDeterminism:
 @pytest.mark.slow
 class TestChaosDeterminism:
     def test_chaos_outcome_identical(self) -> None:
-        config = ChaosConfig(ranks=2, steps=4, step_kib=16)
-        plan = default_chaos_plan(config)
-        baseline = run_chaos(
-            "HC", plan=plan, config=config,
+        config = scenario("device", ranks=2, tasks=8, task_kib=16)
+        baseline = run_scenario(
+            config,
             plan_cache=PlanCacheConfig(enabled=False),
             executor=ExecutorConfig(enabled=False),
         )
-        cached = run_chaos("HC", plan=plan, config=config)
+        cached = run_scenario(config)
         assert cached.trace == baseline.trace
         assert cached.summary() == baseline.summary()
-        assert cached.all_data_intact == baseline.all_data_intact
+        assert cached.holds == baseline.holds
         assert cached.degraded_plans == baseline.degraded_plans

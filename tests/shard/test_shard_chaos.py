@@ -1,12 +1,11 @@
-"""The shard-kill chaos harness: the failure-domain contract end to end."""
+"""The shard-kill scenario: the failure-domain contract end to end."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.faults import ShardChaosConfig, run_shard_chaos
 from repro.errors import HCompressError
-
+from repro.faults import run_scenario, scenario
 
 QUICK = dict(shards=4, tasks=32, tenants=8, kill_after=12,
              checkpoint_after=6)
@@ -15,16 +14,23 @@ QUICK = dict(shards=4, tasks=32, tenants=8, kill_after=12,
 class TestConfig:
     def test_kill_targets_are_exclusive(self) -> None:
         with pytest.raises(HCompressError):
-            ShardChaosConfig(kill_shard=1, kill_owner_of="tenant-0")
+            scenario("shard_kill", kill_shard=1, kill_owner_of="tenant-0")
 
     def test_kill_shard_must_be_in_range(self) -> None:
         with pytest.raises(HCompressError):
-            ShardChaosConfig(shards=4, kill_shard=4)
+            scenario("shard_kill", shards=4, kill_shard=4)
+
+    def test_kill_must_leave_traffic_after_it(self) -> None:
+        """The default kill point (24) is past a 16-task storm: asking
+        for that kill is refused instead of silently never happening."""
+        with pytest.raises(HCompressError):
+            scenario("shard_kill", tasks=16, kill_owner_of="tenant-0")
+        scenario("shard_kill", tasks=16)  # no kill requested: fine
 
 
 class TestUndisturbed:
     def test_baseline_contract_holds(self) -> None:
-        outcome = run_shard_chaos(ShardChaosConfig(**QUICK))
+        outcome = run_scenario(scenario("shard_kill", **QUICK))
         assert outcome.holds, outcome.summary()
         assert outcome.killed_shard is None
         assert outcome.unavailable == 0
@@ -34,13 +40,13 @@ class TestUndisturbed:
 
 class TestKill:
     def test_kill_contract_holds(self) -> None:
-        outcome = run_shard_chaos(
-            ShardChaosConfig(kill_owner_of="tenant-0", **QUICK)
+        outcome = run_scenario(
+            scenario("shard_kill", kill_owner_of="tenant-0", **QUICK)
         )
         assert outcome.holds, outcome.summary()
         assert outcome.killed_shard is not None
         assert outcome.unavailable > 0
-        assert outcome.restored
+        assert outcome.recovered
         assert outcome.missing_acked == 0
         # Blast radius: only tenants the ring homes on the victim.
         assert outcome.affected_tenants <= outcome.expected_tenants
@@ -48,9 +54,9 @@ class TestKill:
     def test_survivor_events_match_undisturbed_run(self) -> None:
         """Determinism across the kill: every surviving shard's event
         stream is identical to the same-seed run with no kill."""
-        base = run_shard_chaos(ShardChaosConfig(**QUICK))
-        kill = run_shard_chaos(
-            ShardChaosConfig(kill_owner_of="tenant-0", **QUICK)
+        base = run_scenario(scenario("shard_kill", **QUICK))
+        kill = run_scenario(
+            scenario("shard_kill", kill_owner_of="tenant-0", **QUICK)
         )
         assert kill.killed_shard is not None
         assert kill.survivor_events() == base.survivor_events(
@@ -60,17 +66,17 @@ class TestKill:
     def test_restore_replays_post_checkpoint_suffix(self) -> None:
         """Writes acked after the last checkpoint exist only in the
         journal — restore must replay them."""
-        outcome = run_shard_chaos(
-            ShardChaosConfig(kill_owner_of="tenant-0", **QUICK)
+        outcome = run_scenario(
+            scenario("shard_kill", kill_owner_of="tenant-0", **QUICK)
         )
-        assert outcome.restored
-        assert outcome.restore_replayed >= 0
+        assert outcome.recovered
+        assert outcome.recovery.records_replayed >= 0
         assert outcome.manifest_version >= 3  # DOWN + UP transitions
 
     def test_single_shard_deployment_restores_fully(self) -> None:
-        outcome = run_shard_chaos(
-            ShardChaosConfig(
-                shards=1, tasks=24, tenants=4, kill_shard=0,
+        outcome = run_scenario(
+            scenario(
+                "shard_kill", shards=1, tasks=24, tenants=4, kill_shard=0,
                 kill_after=10, checkpoint_after=4,
             )
         )
@@ -79,4 +85,4 @@ class TestKill:
         assert outcome.expected_tenants == {
             f"tenant-{t}" for t in range(4)
         }
-        assert outcome.restored
+        assert outcome.recovered

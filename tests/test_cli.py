@@ -156,3 +156,131 @@ class TestObservabilityCommands:
         names = {e["name"] for e in events if e["ph"] == "X"}
         assert "hcompress.compress" in names
         assert all(e["dur"] > 0 for e in events if e["ph"] == "X")
+
+
+TINY_STORM = ["--shards", "2", "--shard-tasks", "16", "--tenants", "4"]
+
+
+class TestChaosCommands:
+    """Every chaos mode through ``main``: exit code and verdict line."""
+
+    def _run(self, capsys, *argv) -> tuple[int, str]:
+        code = main(list(argv))
+        return code, capsys.readouterr().out
+
+    def test_comparison_mode_exits_zero_though_baselines_fail(
+        self, capsys
+    ) -> None:
+        code, out = self._run(capsys, "chaos")
+        hc, base, mtnc = out.strip().splitlines()[-3:]
+        assert code == 0
+        assert hc.startswith("[chaos/HC]") and hc.endswith("contract holds")
+        assert "CONTRACT VIOLATED" in base and "CONTRACT VIOLATED" in mtnc
+
+    def test_single_backend_exit_code_is_its_verdict(self, capsys) -> None:
+        assert self._run(capsys, "chaos", "--backend", "BASE")[0] == 1
+        code, out = self._run(capsys, "chaos", "--backend", "HC", "-v")
+        assert code == 0 and "contract holds" in out
+        assert "degraded_plans=" in out
+
+    def test_crash_at_one_site(self, capsys) -> None:
+        code, out = self._run(
+            capsys, "chaos", "--crash-at", "manager.write.piece_placed"
+        )
+        assert code == 0
+        assert "fired_site=manager.write.piece_placed" in out
+        assert out.strip().endswith("contract holds")
+
+    def test_recover_dies_restores_and_verifies(self, capsys, tmp_path) -> None:
+        code, out = self._run(
+            capsys, "recover", "--crash-at", "flusher.post_copy",
+            "--dir", str(tmp_path),
+        )
+        assert code == 0
+        assert "fired_site=flusher.post_copy" in out
+        assert "recovered (replayed" in out and "contract holds" in out
+        assert (tmp_path / "journal.wal").exists()
+
+    def test_scrub_alone_plants_and_heals(self, capsys) -> None:
+        """``--scrub`` without ``--crash-at`` used to fall through to the
+        HC/BASE/MTNC comparison and exit 0 whatever happened."""
+        import re
+
+        code, out = self._run(capsys, "chaos", "--scrub")
+        planted, repairs = map(int, re.search(
+            r"corruptions_planted=(\d+) scrub_repairs=(\d+)", out
+        ).groups())
+        assert code == 0 and out.startswith("[crash/HC]")
+        assert planted > 0 and repairs >= planted
+        assert "contract holds" in out
+
+    def test_scrub_that_plants_nothing_fails(self, capsys) -> None:
+        code, out = self._run(
+            capsys, "chaos", "--scrub", "--corrupt-every", "0"
+        )
+        assert code == 1 and "corruptions_planted" not in out
+
+    def test_scrub_crash_site_implies_scrub(self, capsys) -> None:
+        code, out = self._run(
+            capsys, "chaos", "--crash-at", "scrub.post_journal"
+        )
+        assert code == 0
+        assert "fired_site=scrub.post_journal" in out
+        assert "corruptions_planted=" in out
+
+    def test_overload_storm(self, capsys) -> None:
+        code, out = self._run(
+            capsys, "chaos", "--overload", "--overload-tasks", "24"
+        )
+        assert code == 0
+        assert " shed_by_class={" in out and "breaker_transitions=" in out
+        assert out.strip().endswith("contract holds")
+
+    def test_overload_storm_dies_and_restores(self, capsys) -> None:
+        code, out = self._run(
+            capsys, "chaos", "--overload", "--overload-tasks", "24",
+            "--crash-at", "manager.write.post_journal", "--crash-hit", "10",
+        )
+        assert code == 0
+        assert "fired_site=manager.write.post_journal" in out
+        assert "recovered (replayed" in out
+
+    def test_resized_shard_storm_still_kills(self, capsys) -> None:
+        """The default kill point (task 24) is past a 16-task storm: the
+        run used to kill nothing, print "undisturbed" and exit 0."""
+        code, out = self._run(
+            capsys, "chaos", "--kill-shard", "auto", "--shards", "4",
+            "--shard-tasks", "16", "-v",
+        )
+        assert code == 0
+        assert "killed_shard=3" in out and " unavailable=" in out
+        assert "recovered (replayed" in out and "contract holds" in out
+        assert "      shard 3: " in out  # -v: the per-shard table
+
+    def test_undisturbed_shard_storm(self, capsys) -> None:
+        code, out = self._run(
+            capsys, "chaos", "--kill-shard", "none", *TINY_STORM
+        )
+        assert code == 0
+        assert "killed" not in out and "completed=16 " in out
+
+    def test_bad_kill_target_is_a_usage_error(self, capsys) -> None:
+        assert main(["chaos", "--kill-shard", "bogus"]) == 2
+        assert main(["chaos", "--kill-shard", "9", "--shards", "2"]) == 2
+        assert main(
+            ["chaos", "--failover", "--crash-at", "journal.pre_sync"]
+        ) == 2
+        capsys.readouterr()
+
+    def test_failover_promotes(self, capsys) -> None:
+        code, out = self._run(capsys, "chaos", "--failover", *TINY_STORM)
+        assert code == 0
+        assert "promotions=1" in out and "contract holds" in out
+
+    def test_failover_crash_sweep(self, capsys) -> None:
+        code, out = self._run(
+            capsys, "chaos", "--failover", "--crash-at", "all", *TINY_STORM
+        )
+        assert code == 0
+        assert out.count("ok   replication.") == 4
+        assert "4 crash points: 4 fired, 0 contract violations" in out
