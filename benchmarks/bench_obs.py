@@ -6,7 +6,8 @@ False — the default — every instrumented hot path pays exactly one
 A/B-ing the public wrapper (``HcdpEngine.plan``, instrumentation check
 included) against the private implementation (``HcdpEngine._plan``, the
 pre-instrumentation code path) over the repeated-burst planning workload
-of ``BENCH_plan_cache.json``, and bounds the enabled mode too.
+of ``BENCH_plan_cache.json``, and reports the enabled mode's ratio (gated
+by call count in ``tests/obs/test_hot_path_budget.py``, not by wall time).
 
 The committed plan-cache baseline stays the cross-machine gate
 (``perf_report.py --check``): its speedup ratio would collapse first if
@@ -84,9 +85,13 @@ def test_disabled_overhead_is_negligible(benchmark, seed) -> None:
     )
 
 
-def test_enabled_overhead_is_bounded(benchmark, seed) -> None:
-    """Enabled telemetry pays for spans + counters, but must stay in the
-    same order of magnitude as the uninstrumented path."""
+def test_enabled_overhead_is_reported(benchmark, seed) -> None:
+    """Enabled telemetry pays for spans + counters: the enabled/disabled
+    ratio on the cached plan path goes to ``extra_info``. It is not gated
+    here — a wall-clock ratio of two sub-second loops cannot hold a bound
+    tight enough to ever fail on a shared runner; the enabled path's gate
+    is the exact call-count budget of
+    ``tests/obs/test_hot_path_budget.py`` (tier-1)."""
     disabled = _median_seconds(seed, obs=None, use_wrapper=True, rounds=3)
     obs = Observability(ObservabilityConfig(enabled=True))
     enabled = benchmark.pedantic(
@@ -101,8 +106,7 @@ def test_enabled_overhead_is_bounded(benchmark, seed) -> None:
             "enabled_over_disabled": round(ratio, 3),
         }
     )
-    assert ratio < 10.0, f"enabled telemetry is {ratio:.1f}x the disabled path"
-    # And it really recorded: one plans_total increment per task per pass.
+    # It really recorded: one plans_total increment per task per pass.
     assert obs.m_plans.value == 3 * WORKLOAD["ranks"] * WORKLOAD["bursts"]
 
 

@@ -37,6 +37,7 @@ from ..errors import (
     HCompressError,
     RecoveryError,
     RetryExhaustedError,
+    TaskShedError,
     TierError,
     TierUnavailableError,
 )
@@ -385,12 +386,24 @@ class HCompress:
                 index += len(run)
         return results
 
-    def _write_step_traced(self, *args) -> WriteResult:
-        """:meth:`_write_step` inside its ``hcompress.compress`` region."""
+    def _write_step_traced(
+        self, spec: dict, task: IOTask | None, *args
+    ) -> WriteResult:
+        """:meth:`_write_step` inside its ``hcompress.compress`` region.
+
+        The task is named on the span before the step runs, so a shed or
+        deadline-exceeded write's span says which task it refused.
+        """
         with self.obs.region("hcompress.compress") as sp:
-            result = self._write_step(*args)
-            sp.set_attr("task", result.task.task_id)
-            sp.set_attr("size", result.task.size)
+            if task is None:
+                task = self._write_task(spec)
+            sp.set_attr("task", task.task_id)
+            sp.set_attr("size", task.size)
+            try:
+                result = self._write_step(spec, task, *args)
+            except TaskShedError as exc:
+                sp.set_attr("qos_class", QosClass(exc.qos_class).name)
+                raise
             sp.charge_modeled(result.compress_seconds + result.io_seconds)
             self.obs.record_write(result)
         return result
@@ -404,8 +417,8 @@ class HCompress:
         execute (re-planning once in degraded mode), feed the cost model.
 
         ``task`` is prebuilt when the batch planner needed the whole
-        batch up front; otherwise it is analysed here, inside the task's
-        own telemetry region.
+        batch up front or the traced wrapper analysed it inside the task's
+        own telemetry region; otherwise it is analysed here.
         """
         scale = self.config.python_to_native
         anatomy = self.anatomy
@@ -414,10 +427,14 @@ class HCompress:
             task = self._write_task(spec)
 
         budget = deadline
+        status = None
         if self.qos is not None:
             # Admission + brownout happen before any planning work: a shed
-            # task must cost nothing beyond the analyzer pass.
-            self.qos.observe(self.monitor.status())
+            # task must cost nothing beyond the analyzer pass. Nothing
+            # touches a tier between here and the plan, so the planner
+            # reuses this snapshot: one monitor sample per armed task.
+            status = self.monitor.status()
+            self.qos.observe(status)
             self.qos.admit(
                 task.task_id, task.size, qos_class,
                 tenant=spec.get("tenant", tenant),  # the item's own wins
@@ -431,7 +448,9 @@ class HCompress:
             if planner is not None:
                 schema = planner.plan(task)
             else:
-                schema = self.engine.plan(task, **self._plan_constraints(dl))
+                schema = self.engine.plan(
+                    task, status=status, **self._plan_constraints(dl)
+                )
             anatomy.hcdp_engine += (perf() - wall) / scale
 
             wall = perf()

@@ -332,13 +332,19 @@ class CompressionManager:
         if self.crashpoints is not None:
             self.crashpoints.reached("manager.write.prepared")
         consumed = 0.0  # modeled seconds this task has spent so far
+        # manager.piece has no span, only hooks: build their kwargs only
+        # when somebody listens.
+        hooks = (
+            None if self.obs is None or self.obs.hooks.empty
+            else self.obs.hooks
+        )
         try:
             for index, (plan, prep) in enumerate(zip(schema.pieces, prepared)):
                 key = self.shi.piece_key(task.task_id, index)
                 if deadline is not None:
                     deadline.check(f"write {task.task_id!r}", consumed)
-                if self.obs is not None:
-                    self.obs.hooks.enter(
+                if hooks is not None:
+                    hooks.enter(
                         "manager.piece", key=key, codec=plan.codec,
                         length=plan.length,
                     )
@@ -383,8 +389,8 @@ class CompressionManager:
                         retries=receipt.retries,
                     )
                 )
-                if self.obs is not None:
-                    self.obs.hooks.exit(
+                if hooks is not None:
+                    hooks.exit(
                         "manager.piece", key=key, codec=plan.codec,
                         tier=receipt.tier, stored=accounted,
                         retries=receipt.retries, failover=receipt.failover,

@@ -154,6 +154,7 @@ class HcdpEngine:
         deadline_budget: float | None = None,
         codec_filter: str | None = None,
         blocked_tiers: tuple[str, ...] = (),
+        status=None,
     ) -> Schema:
         """Produce the optimal compression/placement schema for a write task.
 
@@ -164,6 +165,9 @@ class HcdpEngine:
         ``deadline_budget`` (remaining modeled seconds) prunes tiers and
         codecs whose modeled completion cannot fit — raising
         :class:`~repro.errors.DeadlineExceededError` when nothing is left.
+        ``status`` is a :class:`~repro.monitor.SystemStatus` the caller
+        just took (the write step's QoS snapshot); without one the plan
+        samples the monitor itself.
         """
         obs = self.obs
         if obs is None:
@@ -172,6 +176,7 @@ class HcdpEngine:
                 deadline_budget=deadline_budget,
                 codec_filter=codec_filter,
                 blocked_tiers=blocked_tiers,
+                _status=status,
             )
         hits_before = self.stats.plan_cache_hits
         wall = time.perf_counter()
@@ -181,6 +186,7 @@ class HcdpEngine:
                 deadline_budget=deadline_budget,
                 codec_filter=codec_filter,
                 blocked_tiers=blocked_tiers,
+                _status=status,
             )
             cache_hit = self.stats.plan_cache_hits > hits_before
             sp.set_attr("cache", "hit" if cache_hit else "miss")
@@ -207,9 +213,9 @@ class HcdpEngine:
             self.stats.tasks_planned += 1
             return schema
 
-        # ``_status`` lets the batch planner hand over the snapshot it
-        # already took (via sample_raw) instead of sampling twice; the
-        # per-task path always samples here.
+        # ``_status`` lets a caller hand over the snapshot it already took
+        # (the batch planner via sample_raw, the armed write step for QoS)
+        # instead of sampling twice; otherwise the plan samples here.
         status = _status if _status is not None else self.monitor.status()
         hierarchy = self.monitor.hierarchy
         specs = [tier.spec for tier in hierarchy]

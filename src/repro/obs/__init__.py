@@ -26,7 +26,7 @@ from .registry import (
     MetricsRegistry,
     merge_registries,
 )
-from .tracer import NULL_SPAN, Span, SpanRecord, Tracer
+from .tracer import NULL_SPAN, Span, Tracer
 
 __all__ = [
     "Counter",
@@ -38,7 +38,6 @@ __all__ = [
     "ObservabilityConfig",
     "ProfilingHooks",
     "Span",
-    "SpanRecord",
     "Tracer",
     "merge_registries",
 ]

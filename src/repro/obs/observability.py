@@ -42,7 +42,7 @@ from .registry import (
     DEFAULT_SECONDS_BUCKETS,
     MetricsRegistry,
 )
-from .tracer import Tracer
+from .tracer import Span, Tracer
 
 __all__ = ["ObservabilityConfig", "Observability"]
 
@@ -73,26 +73,36 @@ class ObservabilityConfig:
             raise ValueError("max_spans must be >= 1")
 
 
-class _Region:
-    """Combined span + enter/exit hook firing for one instrumented site."""
+class _Region(Span):
+    """One instrumented site: a span that also fires the site's hooks.
 
-    __slots__ = ("_obs", "_site", "_ctx", "_span")
+    The region owns its attrs, so exit hooks see the outcome annotations
+    (``cache=hit``, ``error=...``) whether or not the span is recorded;
+    with tracing off it carries no tracer and nothing reaches the ring.
+    """
+
+    __slots__ = ("_hooks",)
 
     def __init__(self, obs: "Observability", site: str, ctx: dict) -> None:
-        self._obs = obs
-        self._site = site
-        self._ctx = ctx
+        # Span.__init__, inlined: this runs once per region per task.
+        tracer = obs.tracer
+        self._tracer = tracer if tracer.enabled else None
+        self._hooks = obs.hooks
+        self.name = site
+        self.attrs = ctx
+        self.modeled_seconds = 0.0
 
     def __enter__(self):
-        self._obs.hooks.enter(self._site, **self._ctx)
-        self._span = self._obs.tracer.span(self._site, **self._ctx)
-        return self._span.__enter__()
+        hooks = self._hooks
+        if hooks._enter:
+            hooks.enter(self.name, **self.attrs)
+        return Span.__enter__(self)
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._span.__exit__(exc_type, exc, tb)
-        # Exit hooks see the final span attributes (outcome annotations
-        # like cache=hit land on the span during the region).
-        self._obs.hooks.exit(self._site, **getattr(self._span, "attrs", self._ctx))
+        Span.__exit__(self, exc_type, exc, tb)
+        hooks = self._hooks
+        if hooks._exit:
+            hooks.exit(self.name, **self.attrs)
 
 
 class Observability:
@@ -287,8 +297,8 @@ class Observability:
         return self.config.enabled
 
     def region(self, site: str, **ctx) -> _Region:
-        """Instrument one region: span + enter/exit hooks, as a context
-        manager yielding the live :class:`~repro.obs.tracer.Span`."""
+        """Instrument one region: a span that fires the site's enter/exit
+        hooks, as a context manager yielding itself."""
         return _Region(self, site, ctx)
 
     # -- hot-path recording --------------------------------------------------
@@ -296,40 +306,39 @@ class Observability:
     def record_io(self, receipt, op: str) -> None:
         """Account one SHI receipt (tier where the bytes actually landed)."""
         tier = receipt.tier
-        self.m_tier_ops.labels(tier=tier, op=op).inc()
-        self.m_tier_bytes.labels(tier=tier, op=op).inc(receipt.nbytes)
-        self.m_tier_seconds.labels(tier=tier, op=op).inc(receipt.seconds)
+        self.m_tier_ops.labels(tier, op).inc()
+        self.m_tier_bytes.labels(tier, op).inc(receipt.nbytes)
+        self.m_tier_seconds.labels(tier, op).inc(receipt.seconds)
 
     def record_retry(self, tier: str, backoff_seconds: float) -> None:
-        self.m_retries.labels(tier=tier).inc()
-        self.m_backoff.labels(tier=tier).inc(backoff_seconds)
+        self.m_retries.labels(tier).inc()
+        self.m_backoff.labels(tier).inc(backoff_seconds)
 
     def record_failover(self, from_tier: str, to_tier: str) -> None:
-        self.m_failovers.labels(from_tier=from_tier, to_tier=to_tier).inc()
+        self.m_failovers.labels(from_tier, to_tier).inc()
 
     def record_exhausted(self, tier: str) -> None:
-        self.m_exhausted.labels(tier=tier).inc()
+        self.m_exhausted.labels(tier).inc()
 
     def record_plan(self, cache_hit: bool, wall_seconds: float) -> None:
-        result = "cache_hit" if cache_hit else "cache_miss"
-        self.m_plans.labels(result=result).inc()
+        self.m_plans.labels("cache_hit" if cache_hit else "cache_miss").inc()
         self.m_plan_seconds.observe(wall_seconds)
 
     def record_write(self, result) -> None:
         """Account one finished write task (a ``WriteResult``)."""
-        self.m_tasks.labels(op="write").inc()
-        self.m_task_bytes.labels(op="write").observe(result.task.size)
+        self.m_tasks.labels("write").inc()
+        self.m_task_bytes.labels("write").observe(result.task.size)
         for piece in result.pieces:
             codec = piece.plan.codec
-            self.m_codec_pieces.labels(codec=codec).inc()
-            self.m_codec_bytes.labels(codec=codec).inc(piece.plan.length)
-            self.m_codec_seconds.labels(codec=codec).inc(piece.compress_seconds)
-            self.m_codec_ratio.labels(codec=codec).observe(piece.actual_ratio)
+            self.m_codec_pieces.labels(codec).inc()
+            self.m_codec_bytes.labels(codec).inc(piece.plan.length)
+            self.m_codec_seconds.labels(codec).inc(piece.compress_seconds)
+            self.m_codec_ratio.labels(codec).observe(piece.actual_ratio)
 
     def record_read(self, result) -> None:
         """Account one finished read task (a ``ReadResult``)."""
-        self.m_tasks.labels(op="read").inc()
-        self.m_task_bytes.labels(op="read").observe(result.modeled_size)
+        self.m_tasks.labels("read").inc()
+        self.m_task_bytes.labels("read").observe(result.modeled_size)
 
     def record_checkpoint(self, snapshot_bytes: int) -> None:
         """Account one engine checkpoint."""
@@ -343,15 +352,15 @@ class Observability:
         self.m_recovery_restores.inc()
         self.m_recovery_replayed.inc(records_replayed)
         if orphans:
-            self.m_recovery_gc.labels(reason="orphan").inc(orphans)
+            self.m_recovery_gc.labels("orphan").inc(orphans)
         if duplicates:
-            self.m_recovery_gc.labels(reason="duplicate").inc(duplicates)
+            self.m_recovery_gc.labels("duplicate").inc(duplicates)
 
     def record_qos_admitted(self, qos_class: str) -> None:
-        self.m_qos_admitted.labels(qos_class=qos_class).inc()
+        self.m_qos_admitted.labels(qos_class).inc()
 
     def record_qos_shed(self, qos_class: str) -> None:
-        self.m_qos_shed.labels(qos_class=qos_class).inc()
+        self.m_qos_shed.labels(qos_class).inc()
 
     def record_brownout(self, prev_level: int, level: int) -> None:
         """Account one brownout ladder move (either direction)."""
@@ -359,10 +368,10 @@ class Observability:
         self.m_brownout_transitions.inc()
 
     def record_deadline_exceeded(self, op: str) -> None:
-        self.m_deadline_exceeded.labels(op=op).inc()
+        self.m_deadline_exceeded.labels(op).inc()
 
     def record_deadline_slack(self, op: str, slack_seconds: float) -> None:
-        self.m_deadline_slack.labels(op=op).observe(max(slack_seconds, 0.0))
+        self.m_deadline_slack.labels(op).observe(max(slack_seconds, 0.0))
 
     def record_lifecycle_scan(self) -> None:
         self.m_lifecycle_scans.inc()
@@ -373,20 +382,18 @@ class Observability:
     def record_scrub_repair(self, outcome: str, source: str) -> None:
         """Account one scrubber-detected corruption and its fate."""
         self.m_scrub_corruptions.inc()
-        self.m_scrub_repairs.labels(
-            outcome=outcome, source=source or "none"
-        ).inc()
+        self.m_scrub_repairs.labels(outcome, source or "none").inc()
 
     def record_shard_promotion(self, shard: str) -> None:
         """Account one completed standby promotion (shard failover)."""
-        self.m_repl_promotions.labels(shard=shard).inc()
+        self.m_repl_promotions.labels(shard).inc()
 
     def record_lifecycle_migration(
         self, direction: str, nbytes: int, modeled_seconds: float
     ) -> None:
         """Account one completed lifecycle migration."""
-        self.m_lifecycle_migrations.labels(direction=direction).inc()
-        self.m_lifecycle_bytes.labels(direction=direction).inc(nbytes)
+        self.m_lifecycle_migrations.labels(direction).inc()
+        self.m_lifecycle_bytes.labels(direction).inc(nbytes)
         self.m_lifecycle_seconds.inc(modeled_seconds)
 
     # -- mirror sync (legacy counters -> one export path) --------------------
@@ -438,7 +445,7 @@ class Observability:
         for event in shi.trace:
             by_kind[event[0]] = by_kind.get(event[0], 0) + 1
         for kind, count in sorted(by_kind.items()):
-            trace_events.labels(kind=kind).set(count)
+            trace_events.labels(kind).set(count)
 
         manager = engine.manager
         for name, value in (
@@ -540,7 +547,7 @@ class Observability:
             "write_io", "metadata_parsing", "decompression", "read_feedback",
             "read_io",
         ):
-            phase_seconds.labels(phase=phase).set(getattr(anatomy, phase))
+            phase_seconds.labels(phase).set(getattr(anatomy, phase))
 
         if getattr(engine, "qos", None) is not None:
             self.sync_qos(engine.qos)
@@ -583,12 +590,8 @@ class Observability:
         self.m_brownout_level.set(int(governor.brownout.level))
         code = {OPEN: 2, HALF_OPEN: 1}
         for tier, breaker in governor.breakers.breakers.items():
-            self.m_breaker_state.labels(tier=tier).set(
-                code.get(breaker.state, 0)
-            )
-            self.m_breaker_transitions.labels(tier=tier).set(
-                breaker.transitions
-            )
+            self.m_breaker_state.labels(tier).set(code.get(breaker.state, 0))
+            self.m_breaker_transitions.labels(tier).set(breaker.transitions)
 
     def sync_lifecycle(self, daemon) -> None:
         """Mirror a :class:`~repro.lifecycle.LifecycleDaemon`'s cumulative
@@ -597,12 +600,8 @@ class Observability:
         reg = self.registry
         stats = daemon.stats
         self.m_lifecycle_scans.set(stats.scans)
-        self.m_lifecycle_migrations.labels(direction="promote").set(
-            stats.promotions
-        )
-        self.m_lifecycle_migrations.labels(direction="demote").set(
-            stats.demotions
-        )
+        self.m_lifecycle_migrations.labels("promote").set(stats.promotions)
+        self.m_lifecycle_migrations.labels("demote").set(stats.demotions)
         self.m_lifecycle_seconds.set(stats.migration_seconds)
         self.m_lifecycle_cost.set(stats.cost_rate)
         for name, value in (
@@ -638,9 +637,7 @@ class Observability:
             key = (repair.outcome, repair.source or "none")
             by_source[key] = by_source.get(key, 0) + 1
         for (outcome, source), count in sorted(by_source.items()):
-            self.m_scrub_repairs.labels(outcome=outcome, source=source).set(
-                count
-            )
+            self.m_scrub_repairs.labels(outcome, source).set(count)
         for name, value in (
             ("hcompress_scrub_scans_total", stats.scans),
             ("hcompress_scrub_paused_total", stats.paused),
@@ -657,20 +654,18 @@ class Observability:
         view: shipped-record and catch-up counters, plus the live lag of
         every standby against the primary's last-shipped LSN."""
         shard = str(shard_id)
-        self.m_repl_shipped.labels(shard=shard).set(
+        self.m_repl_shipped.labels(shard).set(
             coordinator.shipped_records[shard_id]
         )
-        self.m_repl_catchups.labels(shard=shard).set(
-            coordinator.catch_ups[shard_id]
-        )
-        self.m_repl_promotions.labels(shard=shard).set(
+        self.m_repl_catchups.labels(shard).set(coordinator.catch_ups[shard_id])
+        self.m_repl_promotions.labels(shard).set(
             coordinator.failovers[shard_id]
         )
         primary_lsn = coordinator.primary_lsn[shard_id]
         for replica in coordinator.standbys[shard_id]:
-            self.m_repl_lag.labels(
-                shard=shard, replica=str(replica.replica_id)
-            ).set(replica.lag(primary_lsn))
+            self.m_repl_lag.labels(shard, str(replica.replica_id)).set(
+                replica.lag(primary_lsn)
+            )
 
     def sync_injector(self, stats) -> None:
         """Mirror ``InjectorStats`` (the fault-injection event log)."""
@@ -691,7 +686,7 @@ class Observability:
         for event in stats.log:
             by_kind[str(event[0])] = by_kind.get(str(event[0]), 0) + 1
         for kind, count in sorted(by_kind.items()):
-            log_events.labels(kind=kind).set(count)
+            log_events.labels(kind).set(count)
 
     # -- export --------------------------------------------------------------
 

@@ -8,7 +8,8 @@ label-value combination; an unlabeled family is its own single series.
 Two write disciplines coexist by design (docs/OBSERVABILITY.md):
 
 * **Push** series are incremented at the instrumentation site (per piece,
-  per retry) — the hot-path cost is one dict lookup and an add.
+  per retry) — the hot-path cost is one dict probe on the label values
+  and an add (``family.labels(tier, op).inc()``).
 * **Mirror** series are *set* from a legacy ad-hoc counter at export time
   (``Counter.set``); the legacy structure stays the source of truth and
   the registry is the shared export path. The telemetry-drift regression
@@ -53,20 +54,11 @@ DEFAULT_BYTES_BUCKETS: tuple[float, ...] = tuple(
 )
 
 
-def _series_key(
-    labelnames: tuple[str, ...], labels: dict[str, str]
-) -> tuple[str, ...]:
-    if set(labels) != set(labelnames):
-        raise HCompressError(
-            f"labels {sorted(labels)} do not match declared label names "
-            f"{sorted(labelnames)}"
-        )
-    return tuple(str(labels[name]) for name in labelnames)
-
-
-@dataclass
 class _CounterSeries:
-    value: float = 0.0
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (must be >= 0) to the series."""
@@ -79,9 +71,11 @@ class _CounterSeries:
         self.value = value
 
 
-@dataclass
 class _GaugeSeries:
-    value: float = 0.0
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0.0
 
     def set(self, value: float) -> None:
         self.value = float(value)
@@ -127,27 +121,57 @@ class _Family:
         self.help = help
         self.labelnames = tuple(labelnames)
         self._series: dict[tuple[str, ...], object] = {}
+        self._sole = None  # a label-less family's only series, once used
 
     def _make_series(self):
         return self._series_cls()  # type: ignore[misc]
 
-    def labels(self, **labels: str):
-        """The child series for one label-value combination (auto-created)."""
-        key = _series_key(self.labelnames, labels)
+    def labels(self, *values, **labels):
+        """The child series for one label-value combination (auto-created).
+
+        Values go positionally in declared order — the hot path: one dict
+        probe, no validation — or by keyword; both resolve to one series.
+        """
+        series = self._series.get(values)
+        if series is None or labels:
+            series = self._resolve(values, labels)
+        return series
+
+    def _resolve(self, values: tuple, labels: dict):
+        """Keyword and miss path of :meth:`labels`: validate names and
+        arity, coerce the values to ``str`` (so ``3`` and ``"3"`` are one
+        series), then find or create."""
+        names = self.labelnames
+        if labels:
+            if values or set(labels) != set(names):
+                raise HCompressError(
+                    f"labels {sorted(labels)} do not match declared label "
+                    f"names {sorted(names)}"
+                )
+            values = tuple(labels[name] for name in names)
+        elif len(values) != len(names):
+            raise HCompressError(
+                f"{len(values)} label values do not match declared label "
+                f"names {sorted(names)}"
+            )
+        key = tuple(str(value) for value in values)
         series = self._series.get(key)
         if series is None:
-            series = self._make_series()
-            self._series[key] = series
+            series = self._series[key] = self._make_series()
         return series
 
     def _default(self):
-        """The unlabeled series (only valid for label-less families)."""
-        if self.labelnames:
-            raise HCompressError(
-                f"metric {self.name!r} declares labels {self.labelnames}; "
-                f"use .labels(...)"
-            )
-        return self.labels()
+        """The unlabeled series (only valid for label-less families),
+        bound once on first use."""
+        series = self._sole
+        if series is None:
+            if self.labelnames:
+                raise HCompressError(
+                    f"metric {self.name!r} declares labels {self.labelnames}; "
+                    f"use .labels(...)"
+                )
+            series = self._sole = self.labels()
+        return series
 
     def series_items(self):
         """Iterate ``(labels dict, series)`` pairs in insertion order."""
@@ -283,8 +307,7 @@ class MetricsRegistry:
             raise HCompressError(
                 f"{name!r} is a histogram; read .labels(...).sum/.count"
             )
-        series = family.labels(**labels)
-        return series.value  # type: ignore[union-attr]
+        return family.labels(**labels).value  # type: ignore[union-attr]
 
     # -- export --------------------------------------------------------------
 

@@ -23,63 +23,81 @@ a long run cannot exhaust memory.
 
 from __future__ import annotations
 
-import time
 from collections import deque
-from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Callable
 
-__all__ = ["Span", "SpanRecord", "Tracer", "NULL_SPAN"]
-
-
-@dataclass(frozen=True)
-class SpanRecord:
-    """One finished span, immutable."""
-
-    name: str
-    start_wall: float  # seconds since the tracer was created
-    wall_seconds: float
-    start_modeled: float | None  # modeled clock at enter (None: no clock)
-    modeled_seconds: float  # clock delta + explicit charges
-    depth: int
-    index: int  # creation order, unique per tracer
-    parent_index: int | None
-    attrs: dict = field(default_factory=dict)
+__all__ = ["Span", "Tracer", "NULL_SPAN"]
 
 
 class Span:
-    """A live span handle: context manager + attribute/charge sink."""
+    """One timed region: the live handle while open, its own record after.
+
+    ``__exit__`` fills in the durations and appends the span itself to the
+    tracer's ring — there is no second "finished span" object. A span
+    whose ``_tracer`` is ``None`` is unrecorded: it still carries attrs
+    (and the ``error`` annotation) but touches no stack and no ring.
+    """
 
     __slots__ = (
-        "_tracer", "name", "attrs", "_start_wall", "_start_modeled",
-        "_charged", "depth", "index", "parent_index",
+        "_tracer",
+        "name",
+        "attrs",
+        "start_wall",  # seconds since the tracer was created
+        "wall_seconds",
+        "start_modeled",  # modeled clock at enter (None: no clock)
+        "modeled_seconds",  # explicit charges, plus the clock delta at exit
+        "depth",
+        "index",  # creation order, unique per tracer
+        "parent_index",
     )
 
-    def __init__(self, tracer: "Tracer", name: str, attrs: dict) -> None:
+    def __init__(self, tracer: "Tracer | None", name: str, attrs: dict) -> None:
         self._tracer = tracer
         self.name = name
         self.attrs = attrs
-        self._charged = 0.0
-        self._start_wall = 0.0
-        self._start_modeled: float | None = None
-        self.depth = 0
-        self.index = 0
-        self.parent_index: int | None = None
+        self.modeled_seconds = 0.0
 
     def set_attr(self, key: str, value) -> None:
         self.attrs[key] = value
 
     def charge_modeled(self, seconds: float) -> None:
         """Attribute ``seconds`` of simulated time to this span."""
-        self._charged += seconds
+        self.modeled_seconds += seconds
 
     def __enter__(self) -> "Span":
-        self._tracer._enter(self)
+        tracer = self._tracer
+        if tracer is None:
+            return self
+        stack = tracer._stack
+        self.depth = len(stack)
+        self.index = tracer._next_index
+        tracer._next_index += 1
+        self.parent_index = stack[-1].index if stack else None
+        stack.append(self)
+        clock = tracer.modeled_clock
+        self.start_modeled = clock() if clock is not None else None
+        self.start_wall = perf_counter() - tracer._origin
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is not None:
             self.attrs["error"] = exc_type.__name__
-        self._tracer._exit(self)
+        tracer = self._tracer
+        if tracer is None:
+            return
+        self.wall_seconds = perf_counter() - tracer._origin - self.start_wall
+        if self.start_modeled is not None:
+            self.modeled_seconds += tracer.modeled_clock() - self.start_modeled
+        # Tolerate exceptions unwinding through enclosing spans.
+        stack = tracer._stack
+        while stack and stack.pop() is not self:
+            pass
+        spans = tracer.spans
+        if len(spans) == spans.maxlen:
+            tracer.dropped += 1
+        spans.append(self)
+        self._tracer = None  # finished: a plain record, no cycle via the ring
 
 
 class _NullSpan:
@@ -125,8 +143,8 @@ class Tracer:
             raise ValueError("max_spans must be >= 1")
         self.enabled = enabled
         self.modeled_clock = modeled_clock
-        self.spans: deque[SpanRecord] = deque(maxlen=max_spans)
-        self._origin = time.perf_counter()
+        self.spans: deque[Span] = deque(maxlen=max_spans)
+        self._origin = perf_counter()
         self._stack: list[Span] = []
         self._next_index = 0
         self.dropped = 0  # finished spans evicted by the ring bound
@@ -136,44 +154,6 @@ class Tracer:
         if not self.enabled:
             return NULL_SPAN
         return Span(self, name, attrs)
-
-    # -- span lifecycle (called by Span) -------------------------------------
-
-    def _enter(self, span: Span) -> None:
-        span.depth = len(self._stack)
-        span.index = self._next_index
-        self._next_index += 1
-        span.parent_index = self._stack[-1].index if self._stack else None
-        self._stack.append(span)
-        if self.modeled_clock is not None:
-            span._start_modeled = self.modeled_clock()
-        span._start_wall = time.perf_counter()
-
-    def _exit(self, span: Span) -> None:
-        wall = time.perf_counter() - span._start_wall
-        modeled = span._charged
-        if span._start_modeled is not None:
-            modeled += self.modeled_clock() - span._start_modeled
-        # Tolerate exceptions unwinding through enclosing spans.
-        while self._stack and self._stack[-1] is not span:
-            self._stack.pop()
-        if self._stack:
-            self._stack.pop()
-        if len(self.spans) == self.spans.maxlen:
-            self.dropped += 1
-        self.spans.append(
-            SpanRecord(
-                name=span.name,
-                start_wall=span._start_wall - self._origin,
-                wall_seconds=wall,
-                start_modeled=span._start_modeled,
-                modeled_seconds=modeled,
-                depth=span.depth,
-                index=span.index,
-                parent_index=span.parent_index,
-                attrs=span.attrs,
-            )
-        )
 
     # -- aggregation ---------------------------------------------------------
 

@@ -461,6 +461,27 @@ def test_armed_batch_of_one_equals_batch_of_many(seed, tmp_path) -> None:
     }
 
 
+def test_armed_write_shares_one_monitor_sample(seed, tmp_path) -> None:
+    """The armed write step hands its QoS snapshot to the planner. An
+    engine whose plans sample for themselves instead (two samples per
+    task, as before the hand-over) leaves the same catalog, journal
+    bytes, metrics and spans: nothing touches a tier between the two."""
+    items = _armed_items()
+    roomy = {"max_backlog_bytes": 1 << 40}
+    one = _armed(seed, tmp_path / "one", **roomy)
+    one.compress_batch(items)
+    two = _armed(seed, tmp_path / "two", **roomy)
+    plan = two.engine.plan
+    two.engine.plan = lambda task, status=None, **kw: plan(task, **kw)
+    two.compress_batch(items)
+    assert one.monitor.samples_taken == len(items)
+    assert two.monitor.samples_taken == 2 * len(items)
+    view_one, view_two = _armed_view(one), _armed_view(two)
+    for view in (view_one, view_two):
+        del view["metrics"]["hcompress_monitor_samples_total"]
+    assert view_one == view_two
+
+
 @pytest.mark.parametrize(
     "error,call,qos",
     [

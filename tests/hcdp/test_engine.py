@@ -123,6 +123,38 @@ class TestBasicPlanning:
         assert engine.stats.memo_misses > 0
 
 
+class TestStatusHandOver:
+    """``plan(task, status=s)`` plans against the caller's snapshot
+    instead of sampling the monitor again (the armed write step hands
+    over the one it took for QoS)."""
+
+    def test_handed_status_gives_the_sampled_plan(
+        self, predictor, analysis
+    ) -> None:
+        # 32 MiB over 2 + 4 MiB tiers: the plan splits, so it reads capacity.
+        task = IOTask("t", 32 * MiB, analysis)
+        sampling = _engine(_bounded_hierarchy(2 * MiB, 4 * MiB), predictor)
+        handed = _engine(_bounded_hierarchy(2 * MiB, 4 * MiB), predictor)
+        expected = sampling.plan(task)
+        assert sampling.monitor.samples_taken == 1
+        status = handed.monitor.status()
+        schema = handed.plan(task, status=status)
+        assert handed.monitor.samples_taken == 1  # the caller's, not a second
+        assert len(schema.pieces) > 1
+        assert schema.pieces == expected.pieces
+        assert handed.stats == sampling.stats
+
+    def test_plan_believes_the_handed_status(self, predictor, analysis) -> None:
+        h = _bounded_hierarchy(4 * MiB)
+        engine = _engine(h, predictor)
+        stale = engine.monitor.status()  # t0 up
+        h.by_name("t0").set_available(False)
+        schema = engine.plan(IOTask("t", 1 * MiB, analysis), status=stale)
+        assert schema.pieces[0].tier == "t0"
+        fresh = engine.plan(IOTask("u", 1 * MiB, analysis))
+        assert fresh.pieces[0].tier == "pfs"
+
+
 class TestCodecSelection:
     def test_fast_roomy_tier_prefers_no_compression(self, predictor, analysis) -> None:
         h = _bounded_hierarchy(64 * MiB)

@@ -10,13 +10,15 @@ instrumentation site was added, moved, or dropped without its metric.
 from __future__ import annotations
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import HCompress, HCompressConfig, ObservabilityConfig
 from repro.core.config import ResilienceConfig
-from repro.errors import TransientIOError
+from repro.datagen import synthetic_buffer
+from repro.errors import DeadlineExceededError, TaskShedError, TransientIOError
 from repro.experiments.fig7_vpic import (
     WRITE_PRIORITY,
     fig7_hierarchy,
@@ -25,8 +27,10 @@ from repro.experiments.fig7_vpic import (
 from repro.hermes.flusher import TierFlusher
 from repro.tiers import ares_hierarchy
 from repro.tiers.device import Device
-from repro.units import GiB, MiB
-from repro.workloads import HCompressBackend, run_vpic
+from repro.qos import QosClass
+from repro.units import GiB, KiB, MiB
+from repro.workloads import HCompressBackend, run_vpic, vpic_sample
+from repro.workloads.vpic import VPIC_HINTS
 
 
 @pytest.fixture(scope="module")
@@ -185,3 +189,83 @@ class TestResilienceDrift:
         reg = obs.registry
         assert reg.value("hcompress_shi_trace_failovers_total") == shi.failovers
         assert reg.value("hcompress_shi_trace_exhausted_total") == shi.exhausted
+
+
+# -- one golden: a fixed armed workload's telemetry, pinned --------------------
+
+GOLDEN = Path(__file__).resolve().parent.parent / "golden/armed_telemetry.txt"
+
+#: Families that carry measured wall-clock seconds, and the one gauge that
+#: is a least-squares fit (R^2) rather than a count or a modeled quantity.
+UNPINNED_FAMILIES = {
+    "hcompress_plan_seconds",
+    "hcompress_anatomy_seconds_total",
+    "hcompress_model_accuracy",
+}
+
+
+def armed_workload(engine: HCompress) -> None:
+    """Writes (modeled slabs and real bytes), one shed, one deadline miss,
+    full and ranged reads."""
+    rng = np.random.default_rng(0)
+    sample = vpic_sample(64 * KiB, rng)
+    gamma = synthetic_buffer("float64", "gamma", 32 * KiB, rng)
+    for i in range(12):
+        if i % 4 == 3:
+            engine.compress(gamma, task_id=f"real.{i}")
+        else:
+            engine.compress(
+                sample, hints=VPIC_HINTS, modeled_size=8 * MiB,
+                task_id=f"slab.{i}", tenant=f"tenant-{i % 2}",
+            )
+    with pytest.raises(TaskShedError):  # 2 TiB against a 1 TiB backlog cap
+        engine.compress(
+            sample, hints=VPIC_HINTS, modeled_size=1 << 41,
+            task_id="shed.0", qos_class=QosClass.BEST_EFFORT,
+        )
+    with pytest.raises(DeadlineExceededError):
+        engine.compress(gamma, task_id="late.0", deadline=1e-12)
+    for i in range(0, 12, 2):
+        engine.decompress(f"slab.{i}")
+    assert engine.decompress("real.3").data == gamma
+    assert engine.decompress("real.7", offset=4096, length=8192).data == (
+        gamma[4096:12288]
+    )
+    engine.journal.sync()
+
+
+def telemetry_view(engine: HCompress, unpinned=frozenset()) -> list[str]:
+    """Every exported series and the span tree, one comparable line each
+    (floats to 9 significant digits: modeled arithmetic, not wall time)."""
+    metrics = engine.sync_telemetry().export_metrics()["metrics"]
+    lines = []
+    for name, family in metrics.items():
+        if name in unpinned:
+            continue
+        for entry in family["series"]:
+            labels = ",".join(f"{k}={v}" for k, v in entry["labels"].items())
+            if "value" in entry:
+                value = f"{entry['value']:.9g}"
+            else:
+                value = f"counts={entry['counts']} sum={entry['sum']:.9g}"
+            lines.append(f"{name}{{{labels}}} {value}")
+    for span in sorted(engine.obs.tracer.spans, key=lambda span: span.index):
+        lines.append(
+            f"span {span.index} {'  ' * span.depth}{span.name} "
+            f"parent={span.parent_index} attrs={','.join(sorted(span.attrs))}"
+        )
+    return lines
+
+
+def test_armed_telemetry_matches_its_golden(armed_engine) -> None:
+    """Every deterministic series (counts, modeled bytes and seconds) and
+    the span tree (name, nesting, parent, attr keys) of the fixed armed
+    workload, against ``tests/golden/armed_telemetry.txt`` — a hot-path
+    edit that adds, drops, renames or re-nests telemetry shows up here.
+
+    An intended change regenerates the file with
+    ``GOLDEN.write_text("\n".join(view) + "\n")``.
+    """
+    armed_workload(armed_engine)
+    view = telemetry_view(armed_engine, UNPINNED_FAMILIES)
+    assert view == GOLDEN.read_text().splitlines()

@@ -47,6 +47,35 @@ class TestRegion:
         assert fired == ["x"]
         assert len(obs.tracer.spans) == 0
 
+    @pytest.mark.parametrize("tracing", [True, False])
+    def test_exit_hooks_see_the_outcome_with_tracing_on_or_off(
+        self, tracing
+    ) -> None:
+        obs = Observability(ObservabilityConfig(enabled=True, tracing=tracing))
+        seen = []
+        obs.hooks.on_exit("hcdp.plan", lambda site, **ctx: seen.append(ctx))
+        with obs.region("hcdp.plan", task="t0") as span:
+            span.set_attr("cache", "hit")
+        with pytest.raises(ValueError):
+            with obs.region("hcdp.plan", task="t1"):
+                raise ValueError("boom")
+        assert seen == [
+            {"task": "t0", "cache": "hit"},
+            {"task": "t1", "error": "ValueError"},
+        ]
+        assert len(obs.tracer.spans) == (2 if tracing else 0)
+
+    def test_finished_region_is_its_own_record(self) -> None:
+        obs = Observability(ObservabilityConfig(enabled=True))
+        with obs.region("outer", task="t0") as outer:
+            with obs.region("inner") as inner:
+                inner.charge_modeled(0.5)
+        assert list(obs.tracer.spans) == [inner, outer]  # no second object
+        assert (inner.depth, inner.parent_index) == (1, outer.index)
+        assert inner.modeled_seconds == 0.5
+        assert outer.wall_seconds >= inner.wall_seconds >= 0.0
+        assert outer.attrs == {"task": "t0"}
+
 
 # Duck-typed stand-ins for the engine result objects record_* consumes.
 @dataclass

@@ -54,6 +54,61 @@ class TestCounter:
             c.labels(codec="zlib")
 
 
+class TestSeriesLookup:
+    def test_positional_and_keyword_lookups_are_one_series(self) -> None:
+        c = MetricsRegistry().counter("io_total", "", ("tier", "op"))
+        series = c.labels("ram", "write")
+        assert c.labels(tier="ram", op="write") is series
+        assert c.labels(op="write", tier="ram") is series  # any kw order
+        assert c.labels("write", "ram") is not series  # declared order rules
+        assert [labels for labels, _ in c.series_items()] == [
+            {"tier": "ram", "op": "write"},
+            {"tier": "write", "op": "ram"},
+        ]
+
+    def test_int_and_str_values_land_on_one_series(self) -> None:
+        reg = MetricsRegistry()
+        c = reg.counter("shipped_total", "", ("shard",))
+        c.labels(3).inc()
+        c.labels("3").inc()
+        c.labels(shard=3).inc()
+        assert reg.value("shipped_total", shard="3") == 3
+        assert len(list(c.series_items())) == 1
+
+    def test_wrong_arity_rejected(self) -> None:
+        c = MetricsRegistry().counter("io_total", "", ("tier", "op"))
+        for values in ((), ("ram",), ("ram", "write", "extra")):
+            with pytest.raises(HCompressError, match="do not match"):
+                c.labels(*values)
+        with pytest.raises(HCompressError, match="do not match"):
+            c.labels("ram", op="write")  # positional or keyword, not both
+
+    def test_wrong_label_name_rejected_even_after_first_use(self) -> None:
+        reg = MetricsRegistry()
+        labeled = reg.counter("c_total", "", ("tier",))
+        labeled.labels("ram").inc()
+        with pytest.raises(HCompressError, match="do not match"):
+            labeled.labels(codec="ram")
+        bare = reg.counter("bare_total")
+        bare.inc()  # binds the only series
+        with pytest.raises(HCompressError, match="do not match"):
+            bare.labels(tier="ram")
+
+    def test_label_less_family_binds_its_series_once(self) -> None:
+        reg = MetricsRegistry()
+        h = reg.histogram("h", buckets=(1.0,))
+        assert reg.collect()["metrics"]["h"]["series"] == []  # not yet used
+        h.observe(0.5)
+        h.observe(2.0)
+        assert h.labels() is h._default()
+        assert h.labels().counts == [1, 1]
+
+    def test_labeled_counter_series_refuses_negative(self) -> None:
+        c = MetricsRegistry().counter("c_total", "", ("tier",))
+        with pytest.raises(HCompressError, match="only increase"):
+            c.labels("ram").inc(-1)
+
+
 class TestGauge:
     def test_set_inc_dec(self) -> None:
         reg = MetricsRegistry()

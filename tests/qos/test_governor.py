@@ -233,3 +233,32 @@ class TestObservability:
         assert engine.obs.registry.value(
             "hcompress_qos_admitted_total", qos_class="BATCH"
         ) == 1
+
+    @pytest.mark.parametrize(
+        "qos,call,error,attrs",
+        [
+            (
+                {"max_backlog_bytes": 1},
+                {"qos_class": QosClass.BEST_EFFORT},
+                "TaskShedError",
+                {"qos_class": "BEST_EFFORT"},
+            ),
+            ({}, {"deadline": 1e-12}, "DeadlineExceededError", {}),
+        ],
+        ids=["shed", "deadline"],
+    )
+    def test_failed_write_span_names_its_task(
+        self, seed, gamma_f64, qos, call, error, attrs
+    ) -> None:
+        config = HCompressConfig(
+            qos=_qos(brownout_enabled=False, **qos),
+            observability=ObservabilityConfig(enabled=True),
+        )
+        engine = HCompress(_hierarchy(), config, seed=seed)
+        with pytest.raises((TaskShedError, DeadlineExceededError)):
+            engine.compress(gamma_f64, task_id="t0", **call)
+        span = engine.obs.tracer.spans[-1]
+        assert span.name == "hcompress.compress"
+        assert span.attrs == {
+            "task": "t0", "size": len(gamma_f64), **attrs, "error": error,
+        }
