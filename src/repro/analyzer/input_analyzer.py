@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..hashing import stable_hash32
+from ..obs import Metric
 from .datatype import DataType, infer_datatype
 from .distribution import Distribution, classify_distribution
 from .format import DataFormat, detect_format
@@ -56,6 +57,18 @@ class InputAnalyzer:
     steady-state cost of analysis a dict lookup, mirroring how cheap the
     paper measures this stage to be (Fig. 3).
     """
+
+    #: The families this object exports (``Observability.mirror``).
+    METRICS = (
+        Metric(
+            "hcompress_analyzer_cache_hits_total", "input-analysis cache hits",
+            "cache_hits",
+        ),
+        Metric(
+            "hcompress_analyzer_cache_misses_total",
+            "input analyses that ran inference", "cache_misses",
+        ),
+    )
 
     def __init__(self, cache_size: int = 256) -> None:
         self._cache_size = cache_size

@@ -10,6 +10,7 @@ drifted real data back to ~96%.
 from __future__ import annotations
 
 from ..errors import ModelError
+from ..obs import Metric
 from .predictor import CompressionCostPredictor
 from .seed import CostObservation
 
@@ -23,6 +24,16 @@ class FeedbackLoop:
         predictor: The model being refined.
         every_n: Flush cadence in recorded operations.
     """
+
+    #: The families this object exports (``Observability.mirror``).
+    METRICS = (
+        Metric("hcompress_feedback_events_total", "observations recorded", "events"),
+        Metric("hcompress_feedback_flushes_total", "RLS batch updates", "flushes"),
+        Metric(
+            "hcompress_feedback_pending", "observations awaiting a flush",
+            "pending", kind="gauge",
+        ),
+    )
 
     def __init__(
         self, predictor: CompressionCostPredictor, every_n: int = 16

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..errors import ModelError
 from ..monitor.stats import r_squared
+from ..obs import Metric
 from .features import FeatureEncoder, ObservationKey
 from .linreg import OlsFitReport, OlsModel, RecursiveLeastSquares
 from .seed import CostObservation
@@ -44,6 +45,27 @@ class ExpectedCompressionCost:
 
 class CompressionCostPredictor:
     """Three-headed linear cost model with online refinement."""
+
+    #: The families this object exports (``Observability.mirror``); accuracy
+    #: has no series until the sliding window can be scored.
+    METRICS = (
+        Metric(
+            "hcompress_model_version", "CCP parameter generation",
+            "model_version", kind="gauge",
+        ),
+        Metric(
+            "hcompress_model_accuracy", "sliding mean R^2 over the heads",
+            lambda predictor: predictor.mean_accuracy(), kind="gauge",
+        ),
+        Metric(
+            "hcompress_ccp_table_cache_hits_total", "candidate-table cache hits",
+            "table_cache_hits",
+        ),
+        Metric(
+            "hcompress_ccp_table_cache_misses_total",
+            "candidate-table cache misses", "table_cache_misses",
+        ),
+    )
 
     def __init__(
         self, encoder: FeatureEncoder | None = None, lam: float = 1.0

@@ -461,73 +461,17 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stats_report(engine, config, args, wall: float) -> dict:
-    """Build the ``stats`` report as one JSON-ready dict.
+def _stats_report(engines, config, args, wall: float, sharded=None) -> dict:
+    """Build the ``stats`` report over one engine or every live shard.
 
-    Well-formed at any task count — including zero, where every counter is
-    simply 0 and the throughput is reported as 0 rather than dividing by a
+    Counters are summed, rates recomputed from the sums — an unsharded run
+    is a list of one — and a sharded run appends a ``shards`` section with
+    the deployment shape and how the catalog distributed; the rest of the
+    document is one schema, so downstream tooling reads both. Well-formed
+    at any task count — including zero, where every counter is simply 0
+    and the throughput is reported as 0 rather than dividing by a
     degenerate wall time.
     """
-    stats = engine.engine.stats
-    manager = engine.manager
-    accuracy = engine.accuracy()
-    return {
-        "burst": {
-            "tasks": args.tasks,
-            "batch_size": args.batch_size,
-            "modeled_bytes_per_task": args.modeled_kib * KiB,
-            "sample_bytes": args.kib * KiB,
-            "wall_seconds": wall,
-            "tasks_per_second": (args.tasks / wall) if wall > 0 else 0.0,
-        },
-        "plan_cache": {
-            "enabled": config.plan_cache.enabled,
-            "hits": stats.plan_cache_hits,
-            "misses": stats.plan_cache_misses,
-            "invalidations": stats.plan_cache_invalidations,
-            "hit_rate": stats.plan_cache_hit_rate,
-        },
-        "dp_memo": {
-            "hits": stats.memo_hits,
-            "misses": stats.memo_misses,
-            "hit_rate": stats.hit_rate,
-        },
-        "plans": {
-            "tasks_planned": stats.tasks_planned,
-            "pieces_emitted": stats.pieces_emitted,
-            "degraded": stats.degraded_plans,
-            "replans": engine.replans,
-        },
-        "sample_cache": {
-            "hits": manager.sample_cache_hits,
-            "misses": manager.sample_cache_misses,
-        },
-        "executor": {
-            "enabled": config.executor.enabled,
-            "parallel_pieces": manager.parallel_pieces,
-            "spills": manager.spill_events,
-        },
-        "cost_model": {
-            "version": engine.predictor.model_version,
-            "accuracy": accuracy,
-            "monitor_epoch": engine.monitor.state_epoch,
-        },
-    }
-
-
-def _stats_report_sharded(sharded, config, args, wall: float) -> dict:
-    """Aggregate the ``stats`` report across every live shard.
-
-    Counters are summed, rates recomputed from the sums, and a
-    ``shards`` section records the deployment shape and how the catalog
-    distributed — the rest of the document keeps the single-engine
-    schema so downstream tooling reads both.
-    """
-    engines = [
-        engine
-        for _, engine in sorted(sharded.engines.items())
-        if engine is not None
-    ]
 
     def total(get) -> float:
         return sum(get(engine) for engine in engines)
@@ -544,7 +488,7 @@ def _stats_report_sharded(sharded, config, args, wall: float) -> dict:
         for engine in engines
         if (accuracy := engine.accuracy()) is not None
     ]
-    return {
+    report = {
         "burst": {
             "tasks": args.tasks,
             "batch_size": args.batch_size,
@@ -589,11 +533,13 @@ def _stats_report_sharded(sharded, config, args, wall: float) -> dict:
             ),
             "monitor_epoch": max(e.monitor.state_epoch for e in engines),
         },
-        "shards": {
+    }
+    if sharded is not None:
+        report["shards"] = {
             "count": sharded.shards,
             "tasks_by_shard": sharded.task_count_by_shard(),
-        },
-    }
+        }
+    return report
 
 
 def _print_stats_report(report: dict) -> None:
@@ -726,112 +672,83 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stats_sharded(args: argparse.Namespace) -> int:
-    """The ``stats --shards N`` driver: one burst over N shards."""
+def _cmd_stats(args: argparse.Namespace) -> int:
+    """The ``stats`` driver: one burst over one engine or ``--shards N``."""
     import time
 
-    from .core import HCompressConfig, PlanCacheConfig
+    from .core import HCompress, HCompressConfig, PlanCacheConfig
     from .datagen import synthetic_buffer
     from .shard import ShardConfig, ShardedHCompress
-    from .tiers import ares_specs
+    from .tiers import ares_hierarchy, ares_specs
 
-    shards = args.shards
-    # Scale the deployment so each shard's slice matches the budgets the
-    # single-engine burst runs against.
-    specs = ares_specs(
-        64 * MiB * shards, 128 * MiB * shards, 4 * GiB * shards,
-        nodes=2 * shards,
-    )
+    shards = max(args.shards, 1)  # anything below 2 is the unsharded engine
     config = HCompressConfig(
         plan_cache=PlanCacheConfig(enabled=not args.no_cache)
     )
-    print(
-        "bootstrapping shards (one shared profiling pass)...",
-        file=sys.stderr,
-    )
-    sharded = ShardedHCompress(specs, config, ShardConfig(shards=shards))
+    # A sharded deployment is scaled so each shard's slice matches the
+    # budgets the single-engine burst runs against.
+    budgets = (64 * MiB * shards, 128 * MiB * shards, 4 * GiB * shards)
+    if shards > 1:
+        print(
+            "bootstrapping shards (one shared profiling pass)...",
+            file=sys.stderr,
+        )
+        target = sharded = ShardedHCompress(
+            ares_specs(*budgets, nodes=2 * shards), config,
+            ShardConfig(shards=shards),
+        )
+    else:
+        print("bootstrapping engine (inline profiling)...", file=sys.stderr)
+        target = HCompress(ares_hierarchy(*budgets, nodes=2), config)
+        sharded = None
+    tenants = max(8, 2 * shards)
+
+    def route(i: int) -> dict:
+        """Sharded tasks are routed by tenant; one engine takes none."""
+        return {} if sharded is None else {"tenant": f"tenant-{i % tenants}"}
+
     data = synthetic_buffer(
         args.dtype, args.distribution, args.kib * KiB,
         np.random.default_rng(args.rng_seed),
     )
-    tenants = max(8, 2 * shards)
     wall = time.perf_counter()
     if args.batch_size > 1:
         # Per-item tenants route each task exactly like the per-task loop.
         items = [
             {
                 "data": data, "modeled_size": args.modeled_kib * KiB,
-                "task_id": f"stats-{i}", "tenant": f"tenant-{i % tenants}",
+                "task_id": f"stats-{i}", **route(i),
             }
             for i in range(args.tasks)
         ]
         for start in range(0, args.tasks, args.batch_size):
-            sharded.compress_batch(items[start:start + args.batch_size])
+            target.compress_batch(items[start:start + args.batch_size])
     else:
         for i in range(args.tasks):
-            sharded.compress(
+            target.compress(
                 data, modeled_size=args.modeled_kib * KiB,
-                task_id=f"stats-{i}", tenant=f"tenant-{i % tenants}",
+                task_id=f"stats-{i}", **route(i),
             )
     wall = time.perf_counter() - wall
-    report = _stats_report_sharded(sharded, config, args, wall)
-    sharded.close()
+    engines = [target] if sharded is None else [
+        engine
+        for _, engine in sorted(sharded.engines.items())
+        if engine is not None
+    ]
+    report = _stats_report(engines, config, args, wall, sharded)
+    target.close()
     if args.json:
         print(json.dumps(report, indent=2))
         return 0
     _print_stats_report(report)
-    by_shard = report["shards"]["tasks_by_shard"]
-    print(
-        f"shards      : {report['shards']['count']}  tasks by shard: "
-        + " ".join(f"{sid}:{count}" for sid, count in sorted(by_shard.items()))
-    )
-    return 0
-
-
-def _cmd_stats(args: argparse.Namespace) -> int:
-    import time
-
-    from .core import HCompress, HCompressConfig, PlanCacheConfig
-    from .datagen import synthetic_buffer
-    from .tiers import ares_hierarchy
-
-    if args.shards > 1:
-        return _cmd_stats_sharded(args)
-    hierarchy = ares_hierarchy(
-        ram_capacity=64 * MiB, nvme_capacity=128 * MiB, bb_capacity=4 * GiB,
-        nodes=2,
-    )
-    config = HCompressConfig(
-        plan_cache=PlanCacheConfig(enabled=not args.no_cache)
-    )
-    print("bootstrapping engine (inline profiling)...", file=sys.stderr)
-    engine = HCompress(hierarchy, config)
-    data = synthetic_buffer(
-        args.dtype, args.distribution, args.kib * KiB,
-        np.random.default_rng(args.rng_seed),
-    )
-    wall = time.perf_counter()
-    if args.batch_size > 1:
-        items = [
-            {
-                "data": data, "modeled_size": args.modeled_kib * KiB,
-                "task_id": f"stats-{i}",
-            }
-            for i in range(args.tasks)
-        ]
-        for start in range(0, args.tasks, args.batch_size):
-            engine.compress_batch(items[start:start + args.batch_size])
-    else:
-        for i in range(args.tasks):
-            engine.compress(
-                data, modeled_size=args.modeled_kib * KiB, task_id=f"stats-{i}"
+    if sharded is not None:
+        by_shard = report["shards"]["tasks_by_shard"]
+        print(
+            f"shards      : {report['shards']['count']}  tasks by shard: "
+            + " ".join(
+                f"{sid}:{count}" for sid, count in sorted(by_shard.items())
             )
-    wall = time.perf_counter() - wall
-    report = _stats_report(engine, config, args, wall)
-    if args.json:
-        print(json.dumps(report, indent=2))
-        return 0
-    _print_stats_report(report)
+        )
     return 0
 
 
@@ -896,7 +813,7 @@ def _instrumented_vpic(args: argparse.Namespace):
         )
         restored.close()
         engine.sync_telemetry()
-        engine.obs.sync_flusher(flusher.stats)
+        engine.obs.mirror(flusher.stats, flusher.stats.METRICS)
     return engine, result
 
 

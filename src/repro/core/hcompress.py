@@ -44,7 +44,7 @@ from ..errors import (
 from ..hcdp import HcdpEngine, IOTask, Operation, Priority, next_task_id
 from ..lifecycle import LifecycleDaemon
 from ..monitor import SystemMonitor
-from ..obs import Observability
+from ..obs import Metric, Observability
 from ..qos import Deadline, QosClass, QosGovernor
 from ..recovery import (
     JOURNAL_NAME,
@@ -114,6 +114,24 @@ class Anatomy:
     write_ops: int = 0
     read_ops: int = 0
 
+    #: The seconds fields above — the Fig. 3 categories — in export order.
+    PHASES = (
+        "hcdp_engine", "library_selection", "compression", "feedback",
+        "write_io", "metadata_parsing", "decompression", "read_feedback",
+        "read_io",
+    )
+    #: The family this accounting exports (``Observability.mirror``).
+    METRICS = (
+        Metric(
+            "hcompress_anatomy_seconds_total",
+            "per-stage time accounting (Fig. 3 categories)",
+            lambda anatomy: {
+                (phase,): getattr(anatomy, phase) for phase in Anatomy.PHASES
+            },
+            ("phase",),
+        ),
+    )
+
     def write_breakdown(self) -> dict[str, float]:
         """Write-op fractions (sums to 1.0 when any write happened)."""
         parts = {
@@ -157,6 +175,15 @@ class HCompress:
             instead of constructing one from the config — lets
             :meth:`restore` continue a crashed engine's registry/trace.
     """
+
+    #: The one family the engine exports of its own state (its components
+    #: carry their own ``METRICS``): degraded-mode replans.
+    METRICS = (
+        Metric(
+            "hcompress_replans_total", "mirror of the HCDP engine counters",
+            "replans",
+        ),
+    )
 
     def __init__(
         self,
@@ -774,7 +801,8 @@ class HCompress:
         return self.predictor.mean_accuracy()
 
     def sync_telemetry(self) -> Observability:
-        """Mirror every legacy ad-hoc counter into the metrics registry and
+        """Mirror the counters of every subsystem this engine runs into the
+        metrics registry — each from its own ``METRICS`` table — and
         return the engine's :class:`~repro.obs.Observability` object, ready
         to export (see docs/OBSERVABILITY.md).
 
@@ -788,7 +816,13 @@ class HCompress:
                 "HCompressConfig(observability=ObservabilityConfig("
                 "enabled=True))"
             )
-        self.obs.sync_engine(self)
+        for source in (
+            self.engine.stats, self, self.anatomy, self.shi.stats,
+            self.manager, self.feedback, self.predictor, self.monitor,
+            self.analyzer, self.journal, self.qos, self.lifecycle, self.scrub,
+        ):
+            if source is not None:  # the subsystem is off: no families
+                self.obs.mirror(source, source.METRICS)
         return self.obs
 
     def finalize(self, seed_path=None) -> SeedData:

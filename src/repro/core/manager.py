@@ -46,6 +46,7 @@ from ..errors import (
 from ..hashing import content_hash64
 from ..hcdp.schema import Schema, SubTaskPlan
 from ..hcdp.task import IOTask
+from ..obs import Metric
 from ..scrub.config import READ_REPAIR_RETRIES
 from ..scrub.fsck import validate_entry
 from ..units import MB
@@ -196,6 +197,9 @@ class ReadResult:
     pieces: int
 
 
+_HELP = "mirror of the Compression Manager counters"
+
+
 class CompressionManager:
     """Schema executor + metadata catalog.
 
@@ -204,6 +208,26 @@ class CompressionManager:
     header (the paper's decentralised-decode property), the catalog only
     provides the key list.
     """
+
+    #: The families this object exports (``Observability.mirror``).
+    METRICS = (
+        Metric("hcompress_sample_cache_hits_total", _HELP, "sample_cache_hits"),
+        Metric(
+            "hcompress_sample_cache_misses_total", _HELP, "sample_cache_misses"
+        ),
+        Metric("hcompress_spill_events_total", _HELP, "spill_events"),
+        Metric("hcompress_parallel_pieces_total", _HELP, "parallel_pieces"),
+        Metric("hcompress_read_repairs_total", _HELP, "read_repairs"),
+        Metric(
+            "hcompress_corruption_detected_total", _HELP, "corruption_detected"
+        ),
+        Metric("hcompress_quarantine_events_total", _HELP, "quarantine_events"),
+        Metric(
+            "hcompress_quarantined_pieces",
+            "pieces currently quarantined (reads fail fast, typed)",
+            lambda manager: len(manager.quarantined), kind="gauge",
+        ),
+    )
 
     def __init__(
         self,

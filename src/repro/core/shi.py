@@ -18,6 +18,7 @@ deterministic and replayable. Every retry/failover decision is appended to
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..errors import (
@@ -29,6 +30,7 @@ from ..errors import (
     TierUnavailableError,
     TransientIOError,
 )
+from ..obs import Metric
 from ..tiers import StorageHierarchy, Tier
 from .config import ResilienceConfig
 
@@ -65,6 +67,36 @@ class ResilienceStats:
 
     def record(self, *event) -> None:
         self.trace.append(tuple(event))
+
+    #: The families this structure exports (``Observability.mirror``). The
+    #: ``_trace_`` totals are its own counts; the per-tier ``hcompress_shi_*``
+    #: pushes accumulate independently and tests/obs holds the two equal.
+    METRICS = (
+        Metric(
+            "hcompress_shi_trace_retries_total",
+            "mirror of ResilienceStats.retries", "retries",
+        ),
+        Metric(
+            "hcompress_shi_trace_failovers_total",
+            "mirror of ResilienceStats.failovers", "failovers",
+        ),
+        Metric(
+            "hcompress_shi_trace_exhausted_total",
+            "mirror of ResilienceStats.exhausted", "exhausted",
+        ),
+        Metric(
+            "hcompress_shi_trace_backoff_seconds_total",
+            "mirror of ResilienceStats.backoff_seconds", "backoff_seconds",
+        ),
+        Metric(
+            "hcompress_shi_trace_events_total",
+            "deterministic SHI trace events by kind",
+            lambda stats: dict(
+                sorted(Counter((event[0],) for event in stats.trace).items())
+            ),
+            ("kind",),
+        ),
+    )
 
 
 class StorageHardwareInterface:

@@ -11,15 +11,19 @@ sequence, so the same (plan, workload) replays the identical trace.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..errors import HCompressError, TransientIOError
+from ..obs import Metric
 from ..sim.event import Delay
 from ..tiers import StorageHierarchy
 from .device import FaultyDevice
 from .plan import FaultEvent, FaultKind, FaultPlan
 
 __all__ = ["FaultInjector", "InjectorStats"]
+
+_HELP = "mirror of the FaultInjector counters"
 
 
 @dataclass
@@ -35,6 +39,25 @@ class InjectorStats:
 
     def record(self, *entry) -> None:
         self.log.append(tuple(entry))
+
+    #: The families this structure exports; whoever owns the injector
+    #: mirrors it: ``obs.mirror(stats, InjectorStats.METRICS)``.
+    METRICS = (
+        Metric("hcompress_faults_applied_total", _HELP, "events_applied"),
+        Metric("hcompress_faults_outages_total", _HELP, "outages"),
+        Metric("hcompress_faults_recoveries_total", _HELP, "recoveries"),
+        Metric(
+            "hcompress_faults_transient_errors_total", _HELP, "transient_errors"
+        ),
+        Metric("hcompress_faults_corruptions_total", _HELP, "corruptions"),
+        Metric(
+            "hcompress_fault_log_events_total", "injector log entries by kind",
+            lambda stats: dict(
+                sorted(Counter((str(entry[0]),) for entry in stats.log).items())
+            ),
+            ("kind",),
+        ),
+    )
 
 
 class FaultInjector:

@@ -29,6 +29,7 @@ from ..codecs.metadata import HEADER_SIZE
 from ..codecs.pool import CompressionLibraryPool
 from ..errors import DeadlineExceededError, PlacementError
 from ..monitor.system_monitor import SystemMonitor
+from ..obs import Metric
 from ..units import MB, PAGE, align_down
 from .cost import CostModel
 from .plan_cache import CachedPlan, PlanCache, PlanCacheConfig
@@ -39,6 +40,7 @@ from .task import IOTask, Operation
 __all__ = ["HcdpEngine", "EngineStats", "BatchPlanner"]
 
 _INF = math.inf
+_HELP = "mirror of the HCDP engine counters"
 
 
 @dataclass
@@ -53,6 +55,21 @@ class EngineStats:
     plan_cache_hits: int = 0  # whole-schema cache hits
     plan_cache_misses: int = 0  # plans that had to run the DP
     plan_cache_invalidations: int = 0  # flush events (epoch/model/priority)
+
+    #: The families these counters export (``Observability.mirror``).
+    METRICS = (
+        Metric("hcompress_plan_cache_hits_total", _HELP, "plan_cache_hits"),
+        Metric("hcompress_plan_cache_misses_total", _HELP, "plan_cache_misses"),
+        Metric(
+            "hcompress_plan_cache_invalidations_total", _HELP,
+            "plan_cache_invalidations",
+        ),
+        Metric("hcompress_dp_memo_hits_total", _HELP, "memo_hits"),
+        Metric("hcompress_dp_memo_misses_total", _HELP, "memo_misses"),
+        Metric("hcompress_tasks_planned_total", _HELP, "tasks_planned"),
+        Metric("hcompress_pieces_emitted_total", _HELP, "pieces_emitted"),
+        Metric("hcompress_degraded_plans_total", _HELP, "degraded_plans"),
+    )
 
     @property
     def hit_rate(self) -> float:

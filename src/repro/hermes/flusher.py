@@ -14,10 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import TierError, TierUnavailableError, TransientIOError
+from ..obs import Metric
 from ..sim import IO, Delay
 from ..tiers import StorageHierarchy, Tier
 
 __all__ = ["TierFlusher", "FlushStats"]
+
+_HELP = "mirror of the TierFlusher counters"
 
 
 @dataclass
@@ -29,6 +32,19 @@ class FlushStats:
     polls: int = 0
     failed_moves: int = 0  # transient failures; the move is retried later
     skipped_unavailable: int = 0  # polls that skipped a down source tier
+
+    #: The families these counters export. A flusher belongs to no engine,
+    #: so its owner mirrors it: ``obs.mirror(stats, FlushStats.METRICS)``.
+    METRICS = (
+        Metric("hcompress_flusher_moves_total", _HELP, "moves"),
+        Metric("hcompress_flusher_bytes_moved_total", _HELP, "bytes_moved"),
+        Metric("hcompress_flusher_polls_total", _HELP, "polls"),
+        Metric("hcompress_flusher_failed_moves_total", _HELP, "failed_moves"),
+        Metric(
+            "hcompress_flusher_skipped_unavailable_total", _HELP,
+            "skipped_unavailable",
+        ),
+    )
 
 
 class TierFlusher:
@@ -42,8 +58,8 @@ class TierFlusher:
         poll_seconds: Sleep between checks when nothing needs draining.
         batch_moves: Max extents moved per wake-up (bounds event pressure).
         obs: Optional :class:`~repro.obs.Observability` sink; each poll
-            fires the ``flusher.poll`` profiling hooks and the cumulative
-            ``FlushStats`` are mirrored at export via ``sync_flusher``.
+            fires the ``flusher.poll`` profiling hooks; the cumulative
+            ``FlushStats`` are exported through ``FlushStats.METRICS``.
         crashpoints: Optional crash-point arbiter
             (:class:`~repro.recovery.Crashpoints`); the move step honours
             the ``flusher.pre_copy``/``post_copy``/``post_evict`` sites.

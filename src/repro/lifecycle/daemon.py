@@ -28,12 +28,14 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from ..codecs.metadata import HEADER_SIZE
 from ..errors import TierError
 # Unused here since relocate() verifies; benchmarks/e2e/tracing.py wraps the name.
 from ..hashing import content_hash64  # noqa: F401
+from ..obs import Metric
 from .config import LifecycleConfig
 from .cost import TierCostModel
 
@@ -82,7 +84,7 @@ class Migration:
 
 @dataclass
 class LifecycleStats:
-    """Cumulative daemon counters (mirrored by ``Observability``)."""
+    """Cumulative daemon counters (exported via ``LifecycleDaemon.METRICS``)."""
 
     scans: int = 0
     paused: int = 0
@@ -98,6 +100,24 @@ class LifecycleStats:
     migrations: list[Migration] = field(default_factory=list)
 
 
+def _by_direction(weigh, *always: str):
+    """A ``Metric`` reader: ``{(direction,): sum of weigh(migration)}`` over
+    a daemon's executed migrations, in first-seen order; ``always``
+    directions export 0 until one runs."""
+
+    def read(daemon: "LifecycleDaemon") -> Counter:
+        totals: Counter = Counter()
+        for done in daemon.stats.migrations:
+            totals[done.direction,] += weigh(done)
+        totals.update({(direction,): 0 for direction in always})
+        return totals
+
+    return read
+
+
+_HELP = "mirror of the lifecycle daemon counters"
+
+
 class LifecycleDaemon:
     """Per-engine background recompression/re-tiering daemon.
 
@@ -108,6 +128,50 @@ class LifecycleDaemon:
     read-only) and mutates placement exclusively through the manager's
     :meth:`~repro.core.manager.CompressionManager.relocate`.
     """
+
+    #: The families this object exports (``Observability.mirror``).
+    METRICS = (
+        Metric(
+            "hcompress_lifecycle_scans_total", "lifecycle daemon catalog scans",
+            "stats.scans",
+        ),
+        Metric(
+            "hcompress_lifecycle_migrations_total",
+            "blobs re-tiered by the lifecycle daemon",
+            _by_direction(lambda done: 1, "promote", "demote"), ("direction",),
+        ),
+        Metric(
+            "hcompress_lifecycle_bytes_moved_total",
+            "stored bytes placed by lifecycle migrations",
+            _by_direction(lambda done: done.bytes_moved), ("direction",),
+        ),
+        Metric(
+            "hcompress_lifecycle_migration_seconds_total",
+            "modeled seconds of migration I/O + transcode",
+            "stats.migration_seconds",
+        ),
+        Metric(
+            "hcompress_lifecycle_cost_rate",
+            "catalog-wide modeled TCO rate ($/s) at the last scan",
+            "stats.cost_rate", kind="gauge",
+        ),
+        Metric("hcompress_lifecycle_paused_total", _HELP, "stats.paused"),
+        Metric("hcompress_lifecycle_failed_total", _HELP, "stats.failed"),
+        Metric(
+            "hcompress_lifecycle_skipped_quarantined_total", _HELP,
+            "stats.skipped_quarantined",
+        ),
+        Metric(
+            "hcompress_lifecycle_tracked_tasks",
+            "tasks with a live access-temperature record",
+            lambda daemon: len(daemon.access), kind="gauge",
+        ),
+        Metric(
+            "hcompress_lifecycle_saved_rate",
+            "cumulative modeled $/s earned by executed migrations",
+            "stats.saved_rate", kind="gauge",
+        ),
+    )
 
     def __init__(self, engine, config: LifecycleConfig) -> None:
         self.engine = engine
@@ -201,9 +265,6 @@ class LifecycleDaemon:
         self.stats.scans += 1
         self.stats.last_scan = now
         self._next_scan = now + self.config.scan_interval
-        obs = self.engine.obs
-        if obs is not None:
-            obs.record_lifecycle_scan()
 
         candidates = self._scan(now)
         executed: list[Migration] = []
@@ -221,12 +282,6 @@ class LifecycleDaemon:
                 self.stats.promotions += 1
             else:
                 self.stats.demotions += 1
-            if obs is not None:
-                obs.record_lifecycle_migration(
-                    done.direction, done.bytes_moved, done.modeled_seconds
-                )
-        if obs is not None:
-            obs.m_lifecycle_cost.set(self.stats.cost_rate)
         return executed
 
     # -- scan + score ---------------------------------------------------------

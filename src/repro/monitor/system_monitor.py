@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+from ..obs import Metric
 from ..tiers import StorageHierarchy
 
 __all__ = ["TierStatus", "SystemStatus", "SystemMonitor", "RawSample"]
@@ -134,6 +135,19 @@ class SystemMonitor:
             holding state derived from a snapshot — the HCDP plan cache —
             invalidate on epoch change.
     """
+
+    #: The families this object exports (``Observability.mirror``).
+    METRICS = (
+        Metric(
+            "hcompress_monitor_samples_total", "fresh hierarchy snapshots",
+            "samples_taken",
+        ),
+        Metric(
+            "hcompress_monitor_state_epoch",
+            "planning-relevant state transitions observed", "state_epoch",
+            kind="gauge",
+        ),
+    )
 
     def __init__(
         self,

@@ -11,7 +11,8 @@ Three primitives compose the subsystem (see docs/OBSERVABILITY.md):
   callbacks on the engine's hot paths.
 
 :class:`~repro.obs.observability.Observability` bundles all three behind
-the ``record_*`` / ``sync_*`` surface the engine uses, and
+the ``record_*`` pushes the hot paths make and the one ``mirror`` that
+exports a subsystem's :class:`~repro.obs.registry.Metric` table, and
 :class:`~repro.obs.observability.ObservabilityConfig` is the opt-in knob
 carried by ``HCompressConfig`` (disabled by default; disabled means the
 engine holds no observability object at all).
@@ -23,6 +24,7 @@ from .registry import (
     Counter,
     Gauge,
     Histogram,
+    Metric,
     MetricsRegistry,
     merge_registries,
 )
@@ -32,6 +34,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "Metric",
     "MetricsRegistry",
     "NULL_SPAN",
     "Observability",

@@ -13,33 +13,36 @@ holds ``obs=None`` and pays one identity check per operation
 When enabled, hot-path cost is a few dict lookups and float adds per
 operation.
 
-Metric families follow two disciplines, split deliberately:
+Every series has exactly one writer:
 
-* **push** — incremented at the instrumentation site (per plan, per
-  piece, per SHI receipt, per retry). These are *independent
-  accumulations*, cross-checked against the legacy ad-hoc counters by
-  the telemetry-drift regression tests.
-* **mirror** — set from the legacy counters (``EngineStats``,
-  ``ResilienceStats``, ``FlushStats``, ``InjectorStats``, ``Anatomy``)
-  by the ``sync_*`` methods at export time, so every pre-existing
-  counter shares the registry's one export path without rewriting its
-  increment sites.
+* **push** — the families declared in ``Observability.__init__`` are
+  incremented at the instrumentation site (per plan, per piece, per SHI
+  receipt, per retry) by the ``record_*`` methods below, and by nothing
+  else.
+* **mirror** — every counter a subsystem already keeps (``EngineStats``,
+  ``ResilienceStats``, ``LifecycleStats``, the QoS governor, ...) is
+  declared as a :class:`~repro.obs.registry.Metric` row in the ``METRICS``
+  table of the class that owns it and *set* from it at export time by
+  :meth:`Observability.mirror`. The subsystem's counter stays the source
+  of truth; nothing pushes a mirrored family.
 
-This module deliberately imports nothing from ``repro.core`` /
-``repro.hcdp`` — consumers hand their objects in duck-typed, which keeps
-``repro.obs`` a leaf package every layer can depend on.
+This package imports nothing from the rest of ``repro`` but
+``repro.errors`` — a table names its own source's attributes, so the
+facade knows no subsystem — which keeps ``repro.obs`` a leaf package
+every layer can depend on (``tests/obs/test_leaf.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from operator import attrgetter
+from typing import Callable, Iterable
 
 from .hooks import ProfilingHooks
 from .registry import (
     DEFAULT_BYTES_BUCKETS,
     DEFAULT_RATIO_BUCKETS,
-    DEFAULT_SECONDS_BUCKETS,
+    Metric,
     MetricsRegistry,
 )
 from .tracer import Span, Tracer
@@ -215,23 +218,6 @@ class Observability:
             "hcompress_qos_shed_total",
             "tasks shed by QoS admission control", ("qos_class",),
         )
-        self.m_breaker_state = reg.gauge(
-            "hcompress_qos_breaker_state",
-            "circuit-breaker state per tier (0 closed, 1 half-open, 2 open)",
-            ("tier",),
-        )
-        self.m_breaker_transitions = reg.counter(
-            "hcompress_qos_breaker_transitions_total",
-            "circuit-breaker state changes per tier", ("tier",),
-        )
-        self.m_brownout_level = reg.gauge(
-            "hcompress_qos_brownout_level",
-            "current brownout ladder rung (0 normal .. 3 shed)",
-        )
-        self.m_brownout_transitions = reg.counter(
-            "hcompress_qos_brownout_transitions_total",
-            "brownout ladder moves (either direction)",
-        )
         self.m_deadline_exceeded = reg.counter(
             "hcompress_qos_deadline_exceeded_total",
             "operations that ran out of deadline budget", ("op",),
@@ -240,56 +226,6 @@ class Observability:
             "hcompress_qos_deadline_slack_seconds",
             "remaining budget of operations that met their deadline",
             ("op",), buckets=PLAN_SECONDS_BUCKETS,
-        )
-        self.m_lifecycle_scans = reg.counter(
-            "hcompress_lifecycle_scans_total",
-            "lifecycle daemon catalog scans",
-        )
-        self.m_lifecycle_migrations = reg.counter(
-            "hcompress_lifecycle_migrations_total",
-            "blobs re-tiered by the lifecycle daemon", ("direction",),
-        )
-        self.m_lifecycle_bytes = reg.counter(
-            "hcompress_lifecycle_bytes_moved_total",
-            "stored bytes placed by lifecycle migrations", ("direction",),
-        )
-        self.m_lifecycle_seconds = reg.counter(
-            "hcompress_lifecycle_migration_seconds_total",
-            "modeled seconds of migration I/O + transcode",
-        )
-        self.m_lifecycle_cost = reg.gauge(
-            "hcompress_lifecycle_cost_rate",
-            "catalog-wide modeled TCO rate ($/s) at the last scan",
-        )
-        self.m_scrub_steps = reg.counter(
-            "hcompress_scrub_steps_total",
-            "background scrubber steps executed",
-        )
-        self.m_scrub_corruptions = reg.counter(
-            "hcompress_scrub_corruptions_total",
-            "latent corruptions detected by the scrubber's walk",
-        )
-        self.m_scrub_repairs = reg.counter(
-            "hcompress_scrub_repairs_total",
-            "scrubber repair outcomes by healing source",
-            ("outcome", "source"),
-        )
-        self.m_repl_shipped = reg.counter(
-            "hcompress_replication_shipped_records_total",
-            "journal records shipped to standbys", ("shard",),
-        )
-        self.m_repl_lag = reg.gauge(
-            "hcompress_replication_lag_records",
-            "records the standby trails the primary by",
-            ("shard", "replica"),
-        )
-        self.m_repl_promotions = reg.counter(
-            "hcompress_replication_promotions_total",
-            "standby promotions completed (failovers)", ("shard",),
-        )
-        self.m_repl_catchups = reg.counter(
-            "hcompress_replication_catchups_total",
-            "anti-entropy catch-up passes over a standby set", ("shard",),
         )
 
     @property
@@ -362,331 +298,36 @@ class Observability:
     def record_qos_shed(self, qos_class: str) -> None:
         self.m_qos_shed.labels(qos_class).inc()
 
-    def record_brownout(self, prev_level: int, level: int) -> None:
-        """Account one brownout ladder move (either direction)."""
-        self.m_brownout_level.set(level)
-        self.m_brownout_transitions.inc()
-
     def record_deadline_exceeded(self, op: str) -> None:
         self.m_deadline_exceeded.labels(op).inc()
 
     def record_deadline_slack(self, op: str, slack_seconds: float) -> None:
         self.m_deadline_slack.labels(op).observe(max(slack_seconds, 0.0))
 
-    def record_lifecycle_scan(self) -> None:
-        self.m_lifecycle_scans.inc()
+    # -- mirror (subsystem counters -> one export path) ----------------------
 
-    def record_scrub_step(self) -> None:
-        self.m_scrub_steps.inc()
+    def mirror(self, source, table: Iterable[Metric], **labels) -> None:
+        """Set every family ``table`` declares from ``source``'s current
+        state — the one place a declaration becomes series.
 
-    def record_scrub_repair(self, outcome: str, source: str) -> None:
-        """Account one scrubber-detected corruption and its fate."""
-        self.m_scrub_corruptions.inc()
-        self.m_scrub_repairs.labels(outcome, source or "none").inc()
-
-    def record_shard_promotion(self, shard: str) -> None:
-        """Account one completed standby promotion (shard failover)."""
-        self.m_repl_promotions.labels(shard).inc()
-
-    def record_lifecycle_migration(
-        self, direction: str, nbytes: int, modeled_seconds: float
-    ) -> None:
-        """Account one completed lifecycle migration."""
-        self.m_lifecycle_migrations.labels(direction).inc()
-        self.m_lifecycle_bytes.labels(direction).inc(nbytes)
-        self.m_lifecycle_seconds.inc(modeled_seconds)
-
-    # -- mirror sync (legacy counters -> one export path) --------------------
-
-    def sync_engine(self, engine) -> None:
-        """Mirror every legacy ad-hoc counter of an ``HCompress`` engine
-        (HCDP stats, SHI resilience trace, manager caches, feedback loop,
-        monitor, analyzer, predictor, anatomy) into the registry."""
+        ``labels`` are constant pairs put in front of each row's own label
+        names (a deployment mirrors one shard's coordinator rows under
+        ``shard=3``). A row that reads ``None`` declares nothing yet; an
+        empty mapping declares the family with no series.
+        """
         reg = self.registry
-        stats = engine.engine.stats
-        for name, value in (
-            ("hcompress_plan_cache_hits_total", stats.plan_cache_hits),
-            ("hcompress_plan_cache_misses_total", stats.plan_cache_misses),
-            (
-                "hcompress_plan_cache_invalidations_total",
-                stats.plan_cache_invalidations,
-            ),
-            ("hcompress_dp_memo_hits_total", stats.memo_hits),
-            ("hcompress_dp_memo_misses_total", stats.memo_misses),
-            ("hcompress_tasks_planned_total", stats.tasks_planned),
-            ("hcompress_pieces_emitted_total", stats.pieces_emitted),
-            ("hcompress_degraded_plans_total", stats.degraded_plans),
-            ("hcompress_replans_total", engine.replans),
-        ):
-            reg.counter(name, "mirror of the HCDP engine counters").set(value)
-
-        shi = engine.shi.stats
-        reg.counter(
-            "hcompress_shi_trace_retries_total",
-            "mirror of ResilienceStats.retries",
-        ).set(shi.retries)
-        reg.counter(
-            "hcompress_shi_trace_failovers_total",
-            "mirror of ResilienceStats.failovers",
-        ).set(shi.failovers)
-        reg.counter(
-            "hcompress_shi_trace_exhausted_total",
-            "mirror of ResilienceStats.exhausted",
-        ).set(shi.exhausted)
-        reg.counter(
-            "hcompress_shi_trace_backoff_seconds_total",
-            "mirror of ResilienceStats.backoff_seconds",
-        ).set(shi.backoff_seconds)
-        trace_events = reg.counter(
-            "hcompress_shi_trace_events_total",
-            "deterministic SHI trace events by kind", ("kind",),
-        )
-        by_kind: dict[str, int] = {}
-        for event in shi.trace:
-            by_kind[event[0]] = by_kind.get(event[0], 0) + 1
-        for kind, count in sorted(by_kind.items()):
-            trace_events.labels(kind).set(count)
-
-        manager = engine.manager
-        for name, value in (
-            ("hcompress_sample_cache_hits_total", manager.sample_cache_hits),
-            ("hcompress_sample_cache_misses_total", manager.sample_cache_misses),
-            ("hcompress_spill_events_total", manager.spill_events),
-            ("hcompress_parallel_pieces_total", manager.parallel_pieces),
-            ("hcompress_read_repairs_total", manager.read_repairs),
-            (
-                "hcompress_corruption_detected_total",
-                manager.corruption_detected,
-            ),
-            (
-                "hcompress_quarantine_events_total",
-                manager.quarantine_events,
-            ),
-        ):
-            reg.counter(name, "mirror of the Compression Manager counters").set(
-                value
-            )
-        reg.gauge(
-            "hcompress_quarantined_pieces",
-            "pieces currently quarantined (reads fail fast, typed)",
-        ).set(len(manager.quarantined))
-
-        feedback = engine.feedback
-        reg.counter(
-            "hcompress_feedback_events_total", "observations recorded"
-        ).set(feedback.events)
-        reg.counter(
-            "hcompress_feedback_flushes_total", "RLS batch updates"
-        ).set(feedback.flushes)
-        reg.gauge(
-            "hcompress_feedback_pending", "observations awaiting a flush"
-        ).set(feedback.pending)
-
-        predictor = engine.predictor
-        reg.gauge(
-            "hcompress_model_version", "CCP parameter generation"
-        ).set(predictor.model_version)
-        accuracy = predictor.mean_accuracy()
-        if accuracy is not None:
-            reg.gauge(
-                "hcompress_model_accuracy", "sliding mean R^2 over the heads"
-            ).set(accuracy)
-        reg.counter(
-            "hcompress_ccp_table_cache_hits_total",
-            "candidate-table cache hits",
-        ).set(predictor.table_cache_hits)
-        reg.counter(
-            "hcompress_ccp_table_cache_misses_total",
-            "candidate-table cache misses",
-        ).set(predictor.table_cache_misses)
-
-        monitor = engine.monitor
-        reg.counter(
-            "hcompress_monitor_samples_total", "fresh hierarchy snapshots"
-        ).set(monitor.samples_taken)
-        reg.gauge(
-            "hcompress_monitor_state_epoch",
-            "planning-relevant state transitions observed",
-        ).set(monitor.state_epoch)
-
-        analyzer = engine.analyzer
-        reg.counter(
-            "hcompress_analyzer_cache_hits_total", "input-analysis cache hits"
-        ).set(analyzer.cache_hits)
-        reg.counter(
-            "hcompress_analyzer_cache_misses_total",
-            "input analyses that ran inference",
-        ).set(analyzer.cache_misses)
-
-        journal = getattr(engine, "journal", None)
-        if journal is not None:
-            reg.counter(
-                "hcompress_recovery_journal_records_total",
-                "WAL records appended this engine lifetime",
-            ).set(journal.records_appended)
-            reg.counter(
-                "hcompress_recovery_journal_syncs_total",
-                "WAL sync batches (write + flush + fsync)",
-            ).set(journal.syncs)
-            reg.counter(
-                "hcompress_recovery_journal_bytes_total",
-                "WAL bytes made durable",
-            ).set(journal.bytes_synced)
-            reg.gauge(
-                "hcompress_recovery_journal_durable_lsn",
-                "newest journal record guaranteed on stable storage",
-            ).set(journal.durable_lsn)
-
-        anatomy = engine.anatomy
-        phase_seconds = reg.counter(
-            "hcompress_anatomy_seconds_total",
-            "per-stage time accounting (Fig. 3 categories)", ("phase",),
-        )
-        for phase in (
-            "hcdp_engine", "library_selection", "compression", "feedback",
-            "write_io", "metadata_parsing", "decompression", "read_feedback",
-            "read_io",
-        ):
-            phase_seconds.labels(phase).set(getattr(anatomy, phase))
-
-        if getattr(engine, "qos", None) is not None:
-            self.sync_qos(engine.qos)
-        if getattr(engine, "lifecycle", None) is not None:
-            self.sync_lifecycle(engine.lifecycle)
-        if getattr(engine, "scrub", None) is not None:
-            self.sync_scrub(engine.scrub)
-
-    def sync_flusher(self, stats) -> None:
-        """Mirror ``FlushStats`` (the background tier drainer)."""
-        reg = self.registry
-        for name, value in (
-            ("hcompress_flusher_moves_total", stats.moves),
-            ("hcompress_flusher_bytes_moved_total", stats.bytes_moved),
-            ("hcompress_flusher_polls_total", stats.polls),
-            ("hcompress_flusher_failed_moves_total", stats.failed_moves),
-            (
-                "hcompress_flusher_skipped_unavailable_total",
-                stats.skipped_unavailable,
-            ),
-        ):
-            reg.counter(name, "mirror of the TierFlusher counters").set(value)
-
-    def sync_qos(self, governor) -> None:
-        """Mirror a :class:`~repro.qos.QosGovernor`'s live state: breaker
-        states per tier, admission backlog/counters, brownout rung."""
-        from ..qos.breaker import HALF_OPEN, OPEN
-
-        reg = self.registry
-        admission = governor.admission
-        reg.gauge(
-            "hcompress_qos_backlog_bytes",
-            "admission backlog (modeled bytes awaiting drain)",
-        ).set(admission.backlog_bytes)
-        for name, value in (
-            ("hcompress_qos_admission_admitted_total", admission.admitted),
-            ("hcompress_qos_admission_shed_total", admission.shed),
-        ):
-            reg.counter(name, "mirror of the admission controller").set(value)
-        self.m_brownout_level.set(int(governor.brownout.level))
-        code = {OPEN: 2, HALF_OPEN: 1}
-        for tier, breaker in governor.breakers.breakers.items():
-            self.m_breaker_state.labels(tier).set(code.get(breaker.state, 0))
-            self.m_breaker_transitions.labels(tier).set(breaker.transitions)
-
-    def sync_lifecycle(self, daemon) -> None:
-        """Mirror a :class:`~repro.lifecycle.LifecycleDaemon`'s cumulative
-        stats: scans, migrations by direction, bytes/seconds moved, and
-        the catalog-wide cost rate at the last scan."""
-        reg = self.registry
-        stats = daemon.stats
-        self.m_lifecycle_scans.set(stats.scans)
-        self.m_lifecycle_migrations.labels("promote").set(stats.promotions)
-        self.m_lifecycle_migrations.labels("demote").set(stats.demotions)
-        self.m_lifecycle_seconds.set(stats.migration_seconds)
-        self.m_lifecycle_cost.set(stats.cost_rate)
-        for name, value in (
-            ("hcompress_lifecycle_paused_total", stats.paused),
-            ("hcompress_lifecycle_failed_total", stats.failed),
-            (
-                "hcompress_lifecycle_skipped_quarantined_total",
-                stats.skipped_quarantined,
-            ),
-        ):
-            reg.counter(name, "mirror of the lifecycle daemon counters").set(
-                value
-            )
-        reg.gauge(
-            "hcompress_lifecycle_tracked_tasks",
-            "tasks with a live access-temperature record",
-        ).set(len(daemon.access))
-        reg.gauge(
-            "hcompress_lifecycle_saved_rate",
-            "cumulative modeled $/s earned by executed migrations",
-        ).set(stats.saved_rate)
-
-    def sync_scrub(self, scrubber) -> None:
-        """Mirror a :class:`~repro.scrub.Scrubber`'s cumulative stats:
-        steps/scans/pauses, pieces and bytes re-read, corruptions found,
-        and repair outcomes by healing source."""
-        reg = self.registry
-        stats = scrubber.stats
-        self.m_scrub_steps.set(stats.steps)
-        self.m_scrub_corruptions.set(stats.corruptions)
-        by_source: dict[tuple[str, str], int] = {}
-        for repair in stats.repair_log:
-            key = (repair.outcome, repair.source or "none")
-            by_source[key] = by_source.get(key, 0) + 1
-        for (outcome, source), count in sorted(by_source.items()):
-            self.m_scrub_repairs.labels(outcome, source).set(count)
-        for name, value in (
-            ("hcompress_scrub_scans_total", stats.scans),
-            ("hcompress_scrub_paused_total", stats.paused),
-            ("hcompress_scrub_pieces_scanned_total", stats.pieces_scanned),
-            ("hcompress_scrub_bytes_scanned_total", stats.bytes_scanned),
-            ("hcompress_scrub_rewrites_total", stats.rewrites),
-            ("hcompress_scrub_quarantined_total", stats.quarantined),
-            ("hcompress_scrub_failed_total", stats.failed),
-        ):
-            reg.counter(name, "mirror of the scrubber counters").set(value)
-
-    def sync_replication(self, coordinator, shard_id: int) -> None:
-        """Mirror one shard's :class:`~repro.replication.ReplicationCoordinator`
-        view: shipped-record and catch-up counters, plus the live lag of
-        every standby against the primary's last-shipped LSN."""
-        shard = str(shard_id)
-        self.m_repl_shipped.labels(shard).set(
-            coordinator.shipped_records[shard_id]
-        )
-        self.m_repl_catchups.labels(shard).set(coordinator.catch_ups[shard_id])
-        self.m_repl_promotions.labels(shard).set(
-            coordinator.failovers[shard_id]
-        )
-        primary_lsn = coordinator.primary_lsn[shard_id]
-        for replica in coordinator.standbys[shard_id]:
-            self.m_repl_lag.labels(shard, str(replica.replica_id)).set(
-                replica.lag(primary_lsn)
-            )
-
-    def sync_injector(self, stats) -> None:
-        """Mirror ``InjectorStats`` (the fault-injection event log)."""
-        reg = self.registry
-        for name, value in (
-            ("hcompress_faults_applied_total", stats.events_applied),
-            ("hcompress_faults_outages_total", stats.outages),
-            ("hcompress_faults_recoveries_total", stats.recoveries),
-            ("hcompress_faults_transient_errors_total", stats.transient_errors),
-            ("hcompress_faults_corruptions_total", stats.corruptions),
-        ):
-            reg.counter(name, "mirror of the FaultInjector counters").set(value)
-        log_events = reg.counter(
-            "hcompress_fault_log_events_total",
-            "injector log entries by kind", ("kind",),
-        )
-        by_kind: dict[str, int] = {}
-        for event in stats.log:
-            by_kind[str(event[0])] = by_kind.get(str(event[0]), 0) + 1
-        for kind, count in sorted(by_kind.items()):
-            log_events.labels(kind).set(count)
+        names, constants = tuple(labels), tuple(labels.values())
+        for row in table:
+            read = row.read
+            value = read(source) if callable(read) else attrgetter(read)(source)
+            if value is None:
+                continue
+            declare = reg.gauge if row.kind == "gauge" else reg.counter
+            family = declare(row.name, row.help, names + row.labels)
+            if not isinstance(value, dict):
+                value = {(): value}
+            for key, number in value.items():
+                family.labels(*constants, *key).set(number)
 
     # -- export --------------------------------------------------------------
 

@@ -5,15 +5,16 @@ sized for an in-process engine rather than a scrape endpoint. A family
 (``Counter``, ``Gauge``, ``Histogram``) owns one series per distinct
 label-value combination; an unlabeled family is its own single series.
 
-Two write disciplines coexist by design (docs/OBSERVABILITY.md):
+Every series has exactly one writer (docs/OBSERVABILITY.md):
 
-* **Push** series are incremented at the instrumentation site (per piece,
+* A **push** series is incremented at the instrumentation site (per piece,
   per retry) — the hot-path cost is one dict probe on the label values
   and an add (``family.labels(tier, op).inc()``).
-* **Mirror** series are *set* from a legacy ad-hoc counter at export time
-  (``Counter.set``); the legacy structure stays the source of truth and
-  the registry is the shared export path. The telemetry-drift regression
-  test (``tests/obs``) holds the two views equal.
+* A **mirror** series is *set* at export time (``Counter.set``) from the
+  counter a subsystem already keeps, which stays the source of truth. The
+  class that owns the counter declares the family as a :class:`Metric` row
+  of its ``METRICS`` table; ``Observability.mirror`` turns the table into
+  series.
 
 Everything here is plain Python with no locks: HCompress instruments only
 its serial control path (codec worker threads never touch the registry).
@@ -24,6 +25,7 @@ from __future__ import annotations
 import bisect
 import json
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from ..errors import HCompressError
 
@@ -31,6 +33,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "Metric",
     "MetricsRegistry",
     "DEFAULT_SECONDS_BUCKETS",
     "DEFAULT_RATIO_BUCKETS",
@@ -52,6 +55,24 @@ DEFAULT_RATIO_BUCKETS: tuple[float, ...] = (
 DEFAULT_BYTES_BUCKETS: tuple[float, ...] = tuple(
     float(4096 << (2 * i)) for i in range(10)
 )
+
+
+class Metric(NamedTuple):
+    """One mirrored family: a row of the ``METRICS`` table on the class
+    whose counter it exports.
+
+    ``read`` says where the value lives on the object being mirrored: an
+    attribute path (``"moves"``, ``"stats.scans"``), or a callable taking
+    the object. Either yields one number, a ``{label values: number}``
+    mapping for a family with ``labels`` of its own (keys are tuples in
+    ``labels`` order), or ``None`` for "nothing to export yet".
+    """
+
+    name: str
+    help: str
+    read: "str | Callable[[object], object]"
+    labels: tuple[str, ...] = ()
+    kind: str = "counter"  # or "gauge"
 
 
 class _CounterSeries:

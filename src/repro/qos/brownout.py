@@ -17,7 +17,6 @@ flapping. Every move is appended to a deterministic trace.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Callable
 
 from .config import PROTECTED_CLASS, QosClass, QosConfig
 
@@ -34,16 +33,11 @@ class BrownoutLevel(IntEnum):
 class BrownoutController:
     """Hysteretic one-rung-at-a-time degradation ladder."""
 
-    def __init__(
-        self,
-        config: QosConfig,
-        on_event: Callable[..., None] | None = None,
-    ):
+    def __init__(self, config: QosConfig):
         self.config = config
         self.level = BrownoutLevel.NORMAL
         self.transitions = 0
         self.trace: list[tuple] = []
-        self._on_event = on_event
         self._last_move: float | None = None
 
     def update(self, pressure: float, now: float) -> BrownoutLevel:
@@ -71,13 +65,10 @@ class BrownoutController:
         prev, self.level = self.level, BrownoutLevel(level)
         self.transitions += 1
         self._last_move = now
-        event = (
+        self.trace.append((
             "brownout", round(now, 9), int(prev), int(self.level),
             round(pressure, 6),
-        )
-        self.trace.append(event)
-        if self._on_event is not None:
-            self._on_event(*event)
+        ))
 
     def codec_filter(self) -> str | None:
         """Planner codec restriction implied by the current rung."""

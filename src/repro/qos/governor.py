@@ -20,8 +20,9 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Callable
 
+from ..obs import Metric
 from .admission import AdmissionController
-from .breaker import BreakerBoard
+from .breaker import HALF_OPEN, OPEN, BreakerBoard
 from .brownout import BrownoutController, BrownoutLevel
 from .config import QosClass, QosConfig
 
@@ -31,10 +32,63 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["QosGovernor"]
 
+_BREAKER_STATE_CODE = {OPEN: 2, HALF_OPEN: 1}  # anything else is closed, 0
+
 
 class QosGovernor:
     """Engine-lifetime QoS state: one admission controller, one breaker
     per tier, one brownout ladder, one merged event trace."""
+
+    #: The families the three controllers export (``Observability.mirror``).
+    #: Admission decisions and deadline outcomes are pushed per task by the
+    #: governor itself, under other names.
+    METRICS = (
+        Metric(
+            "hcompress_qos_backlog_bytes",
+            "admission backlog (modeled bytes awaiting drain)",
+            "admission.backlog_bytes", kind="gauge",
+        ),
+        Metric(
+            "hcompress_qos_admission_admitted_total",
+            "mirror of the admission controller", "admission.admitted",
+        ),
+        Metric(
+            "hcompress_qos_admission_shed_total",
+            "mirror of the admission controller", "admission.shed",
+        ),
+        Metric(
+            "hcompress_qos_brownout_level",
+            "current brownout ladder rung (0 normal .. 3 shed)",
+            "brownout.level", kind="gauge",
+        ),
+        Metric(
+            "hcompress_qos_brownout_transitions_total",
+            "brownout ladder moves (either direction)",
+            # No series until the ladder first moves, as when each move
+            # pushed the count (tests/golden/armed_telemetry.txt).
+            lambda qos: (
+                {(): qos.brownout.transitions} if qos.brownout.transitions else {}
+            ),
+        ),
+        Metric(
+            "hcompress_qos_breaker_state",
+            "circuit-breaker state per tier (0 closed, 1 half-open, 2 open)",
+            lambda qos: {
+                (tier,): _BREAKER_STATE_CODE.get(breaker.state, 0)
+                for tier, breaker in qos.breakers.breakers.items()
+            },
+            ("tier",), "gauge",
+        ),
+        Metric(
+            "hcompress_qos_breaker_transitions_total",
+            "circuit-breaker state changes per tier",
+            lambda qos: {
+                (tier,): breaker.transitions
+                for tier, breaker in qos.breakers.breakers.items()
+            },
+            ("tier",),
+        ),
+    )
 
     def __init__(
         self,
@@ -54,15 +108,11 @@ class QosGovernor:
             drain = hierarchy[len(hierarchy) - 1].spec.bandwidth
         self.admission = AdmissionController(config, drain)
         self.breakers = BreakerBoard(hierarchy.names, config)
-        self.brownout = BrownoutController(config, on_event=self._on_brownout)
+        self.brownout = BrownoutController(config)
         self.deadline_exceeded = 0
 
     def now(self) -> float:
         return self._clock()
-
-    def _on_brownout(self, *event) -> None:
-        if self.obs is not None:
-            self.obs.record_brownout(int(event[2]), int(event[3]))
 
     # -- monitor feedback --------------------------------------------------
 

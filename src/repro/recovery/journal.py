@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import JournalCorruptError, RecoveryError
+from ..obs import Metric
 
 __all__ = [
     "JOURNAL_NAME",
@@ -232,6 +233,27 @@ class Journal:
             (the latter writes a *partial* frame before dying, producing
             a genuinely torn tail for recovery to repair).
     """
+
+    #: The families this object exports (``Observability.mirror``).
+    METRICS = (
+        Metric(
+            "hcompress_recovery_journal_records_total",
+            "WAL records appended this engine lifetime", "records_appended",
+        ),
+        Metric(
+            "hcompress_recovery_journal_syncs_total",
+            "WAL sync batches (write + flush + fsync)", "syncs",
+        ),
+        Metric(
+            "hcompress_recovery_journal_bytes_total", "WAL bytes made durable",
+            "bytes_synced",
+        ),
+        Metric(
+            "hcompress_recovery_journal_durable_lsn",
+            "newest journal record guaranteed on stable storage", "durable_lsn",
+            kind="gauge",
+        ),
+    )
 
     def __init__(
         self,

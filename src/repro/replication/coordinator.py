@@ -26,6 +26,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..errors import ShardError
+from ..obs import Metric
 from ..recovery import JOURNAL_NAME, JournalCursor
 from .config import ReplicationConfig, replica_dirname
 from .standby import StandbyReplica
@@ -44,6 +45,36 @@ class ReplicationCoordinator:
         fsync: Forwarded to every standby (real fsync per frame or
             flush-only).
     """
+
+    #: The families one shard's entry of :meth:`status` exports. The
+    #: deployment mirrors it into that shard's registry under a leading
+    #: ``shard`` label: ``obs.mirror(status[k], METRICS, shard=k)``.
+    METRICS = (
+        Metric(
+            "hcompress_replication_shipped_records_total",
+            "journal records shipped to standbys",
+            lambda shard: shard["shipped_records"],
+        ),
+        Metric(
+            "hcompress_replication_catchups_total",
+            "anti-entropy catch-up passes over a standby set",
+            lambda shard: shard["catch_ups"],
+        ),
+        Metric(
+            "hcompress_replication_promotions_total",
+            "standby promotions completed (failovers)",
+            lambda shard: shard["failovers"],
+        ),
+        Metric(
+            "hcompress_replication_lag_records",
+            "records the standby trails the primary by",
+            lambda shard: {
+                (replica_id,): replica["lag"]
+                for replica_id, replica in shard["replicas"].items()
+            },
+            ("replica",), "gauge",
+        ),
+    )
 
     def __init__(
         self,

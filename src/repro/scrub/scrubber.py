@@ -36,9 +36,11 @@ burning retry budget on unhealable data.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..errors import TierError
+from ..obs import Metric
 from .config import READ_REPAIR_RETRIES, ScrubConfig
 from .fsck import validate_entry
 
@@ -60,7 +62,7 @@ class Repair:
 
 @dataclass
 class ScrubStats:
-    """Cumulative scrubber counters (mirrored by ``Observability``)."""
+    """Cumulative scrubber counters (exported via ``Scrubber.METRICS``)."""
 
     scans: int = 0            # full catalog passes started
     steps: int = 0
@@ -77,6 +79,9 @@ class ScrubStats:
     repair_log: list[Repair] = field(default_factory=list)
 
 
+_HELP = "mirror of the scrubber counters"
+
+
 class Scrubber:
     """Per-engine background integrity scrubber.
 
@@ -87,6 +92,39 @@ class Scrubber:
     traffic like any other) and placement mutates exclusively through
     the manager's ``relocate``.
     """
+
+    #: The families this object exports (``Observability.mirror``).
+    METRICS = (
+        Metric(
+            "hcompress_scrub_steps_total", "background scrubber steps executed",
+            "stats.steps",
+        ),
+        Metric(
+            "hcompress_scrub_corruptions_total",
+            "latent corruptions detected by the scrubber's walk",
+            "stats.corruptions",
+        ),
+        Metric(
+            "hcompress_scrub_repairs_total",
+            "scrubber repair outcomes by healing source",
+            lambda scrubber: Counter(
+                (repair.outcome, repair.source or "none")
+                for repair in scrubber.stats.repair_log
+            ),
+            ("outcome", "source"),
+        ),
+        Metric("hcompress_scrub_scans_total", _HELP, "stats.scans"),
+        Metric("hcompress_scrub_paused_total", _HELP, "stats.paused"),
+        Metric(
+            "hcompress_scrub_pieces_scanned_total", _HELP, "stats.pieces_scanned"
+        ),
+        Metric(
+            "hcompress_scrub_bytes_scanned_total", _HELP, "stats.bytes_scanned"
+        ),
+        Metric("hcompress_scrub_rewrites_total", _HELP, "stats.rewrites"),
+        Metric("hcompress_scrub_quarantined_total", _HELP, "stats.quarantined"),
+        Metric("hcompress_scrub_failed_total", _HELP, "stats.failed"),
+    )
 
     def __init__(self, engine, config: ScrubConfig) -> None:
         self.engine = engine
@@ -138,9 +176,6 @@ class Scrubber:
         self.stats.last_scan = now
         self._next_scan = now + self.config.scan_interval
         self._step_seconds = 0.0
-        obs = self.engine.obs
-        if obs is not None:
-            obs.record_scrub_step()
         manager = self.engine.manager
         if not self._pending:
             self._pending = manager.task_ids()
@@ -155,10 +190,7 @@ class Scrubber:
             repairs, nbytes = self._scrub_task(task_id)
             budget -= max(nbytes, 1)
             handled.extend(repairs)
-        for repair in handled:
-            self.stats.repair_log.append(repair)
-            if obs is not None:
-                obs.record_scrub_repair(repair.outcome, repair.source)
+        self.stats.repair_log.extend(handled)
         return handled
 
     # -- one task's walk ------------------------------------------------------

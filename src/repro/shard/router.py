@@ -677,7 +677,6 @@ class ShardedHCompress:
                 "replication.promote", shard=shard_id
             ) as span:
                 span.set_attr("applied_lsn", engine.journal.durable_lsn)
-            engine.obs.record_shard_promotion(str(shard_id))
 
     def replication_status(self) -> dict[int, dict]:
         """Per-shard replication state: primary LSN, shipped counts, and
@@ -727,37 +726,6 @@ class ShardedHCompress:
             if engine is not None and engine.lifecycle is not None
         }
 
-    # -- integrity scrubbing -------------------------------------------------
-
-    def scrub_step(self, force: bool = False) -> dict[int, list]:
-        """Step every UP shard's scrubber once, in shard order.
-
-        Each shard's scrubber walks only that shard's own catalog and
-        repairs within that shard's hierarchy slice — repairs journal
-        through the shard's own WAL. Returns the repairs executed per
-        shard id (shards without a scrubber are omitted).
-        """
-        self._check_open()
-        out: dict[int, list] = {}
-        for shard_id in sorted(self.engines):
-            engine = self.engines[shard_id]
-            if (
-                engine is not None
-                and engine.scrub is not None
-                and self.supervisor.is_up(shard_id)
-            ):
-                out[shard_id] = engine.scrub.step(force=force)
-        return out
-
-    def scrub_status(self) -> dict[int, dict]:
-        """Per-shard scrubber status for every live shard with one."""
-        self._check_open()
-        return {
-            shard_id: engine.scrub.status()
-            for shard_id, engine in sorted(self.engines.items())
-            if engine is not None and engine.scrub is not None
-        }
-
     # -- aggregate views -----------------------------------------------------
 
     def checkpoint(self) -> tuple[Path, ...]:
@@ -798,14 +766,22 @@ class ShardedHCompress:
 
     def observabilities(self) -> dict[int, object]:
         """Shard id -> synced Observability for every live shard with
-        telemetry enabled (the CLI's multi-registry aggregation input)."""
+        telemetry enabled (the CLI's multi-registry aggregation input).
+        A replicated deployment adds the coordinator's view of each shard
+        to that shard's registry."""
+        replication = (
+            self.replication.status() if self.replication is not None else {}
+        )
         out = {}
         for shard_id in sorted(self.engines):
             engine = self.engines[shard_id]
             if engine is not None and engine.obs is not None:
                 obs = engine.sync_telemetry()
-                if self.replication is not None:
-                    obs.sync_replication(self.replication, shard_id)
+                if shard_id in replication:
+                    obs.mirror(
+                        replication[shard_id], ReplicationCoordinator.METRICS,
+                        shard=shard_id,
+                    )
                 out[shard_id] = obs
         return out
 

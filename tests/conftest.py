@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +25,19 @@ def seed() -> SeedData:
     predictions at other task sizes extrapolate arbitrarily.
     """
     return default_seed()
+
+
+@pytest.fixture(scope="session")
+def check_docs():
+    """``tools/check_docs.py`` as a module (it is a script, not a package)."""
+    spec = importlib.util.spec_from_file_location(
+        "check_docs",
+        Path(__file__).resolve().parent.parent / "tools" / "check_docs.py",
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["check_docs"] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture()

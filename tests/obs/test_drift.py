@@ -1,10 +1,11 @@
-"""Telemetry-drift regression: push metrics equal the legacy counters.
+"""Telemetry-drift regression: push metrics equal the subsystem counters.
 
 The registry's *push* families are incremented independently at the
-instrumentation sites; the pre-existing ad-hoc counters (``EngineStats``,
-``ResilienceStats``) stay the source of truth. These tests run real
-workloads and hold the two views exactly equal — any divergence means an
-instrumentation site was added, moved, or dropped without its metric.
+instrumentation sites; the counters the subsystems keep (``EngineStats``,
+``ResilienceStats``) are mirrored under *other* family names. These tests
+run real workloads and hold the two views of one quantity exactly equal —
+any divergence means an instrumentation site was added, moved, or dropped
+without its metric.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def vpic_run(request):
         flusher=flusher,
     )
     engine.sync_telemetry()
-    engine.obs.sync_flusher(flusher.stats)
+    engine.obs.mirror(flusher.stats, flusher.stats.METRICS)
     return engine, flusher, result
 
 

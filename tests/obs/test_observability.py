@@ -1,4 +1,4 @@
-"""The Observability facade: config, regions, recording, mirror sync."""
+"""The Observability facade: config, regions, recording, mirror."""
 
 from __future__ import annotations
 
@@ -6,7 +6,10 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from repro.obs import Observability, ObservabilityConfig
+from repro.errors import HCompressError
+from repro.faults.injector import InjectorStats
+from repro.hermes.flusher import FlushStats
+from repro.obs import Metric, Observability, ObservabilityConfig
 
 
 class TestConfig:
@@ -193,7 +196,7 @@ class _InjectorStats:
 class TestMirrorSync:
     def test_sync_flusher(self) -> None:
         obs = Observability()
-        obs.sync_flusher(_FlushStats())
+        obs.mirror(_FlushStats(), FlushStats.METRICS)
         reg = obs.registry
         assert reg.value("hcompress_flusher_moves_total") == 3
         assert reg.value("hcompress_flusher_bytes_moved_total") == 12288
@@ -204,19 +207,56 @@ class TestMirrorSync:
     def test_sync_flusher_is_set_not_accumulate(self) -> None:
         obs = Observability()
         stats = _FlushStats()
-        obs.sync_flusher(stats)
+        obs.mirror(stats, FlushStats.METRICS)
         stats.moves = 5
-        obs.sync_flusher(stats)
+        obs.mirror(stats, FlushStats.METRICS)
         assert obs.registry.value("hcompress_flusher_moves_total") == 5
 
     def test_sync_injector(self) -> None:
         obs = Observability()
-        obs.sync_injector(_InjectorStats())
+        obs.mirror(_InjectorStats(), InjectorStats.METRICS)
         reg = obs.registry
         assert reg.value("hcompress_faults_applied_total") == 4
         assert reg.value("hcompress_faults_transient_errors_total") == 7
         assert reg.value("hcompress_fault_log_events_total", kind="outage") == 2
         assert reg.value("hcompress_fault_log_events_total", kind="recover") == 1
+
+    def test_mirror_reads_paths_callables_mappings_and_none(self) -> None:
+        table = (
+            Metric("hcompress_x_total", "by path", "stats.moves"),
+            Metric("hcompress_x_level", "by call", lambda s: s.level, kind="gauge"),
+            Metric(
+                "hcompress_x_by_kind_total", "by mapping",
+                lambda s: {("a", 1): 2, ("b", 2): 0}, ("kind", "n"),
+            ),
+            Metric("hcompress_x_none", "not yet", lambda s: None, kind="gauge"),
+            Metric("hcompress_x_empty", "no series", lambda s: {}, kind="gauge"),
+        )
+
+        @dataclass
+        class Source:
+            stats: _FlushStats = field(default_factory=_FlushStats)
+            level: int = 2
+
+        obs = Observability()
+        obs.mirror(Source(), table, shard=7)
+        reg = obs.registry
+        assert reg.value("hcompress_x_total", shard="7") == 3
+        assert reg.value("hcompress_x_level", shard="7") == 2.0
+        assert reg.get("hcompress_x_by_kind_total").labelnames == (
+            "shard", "kind", "n",
+        )
+        assert reg.value(
+            "hcompress_x_by_kind_total", shard="7", kind="a", n="1"
+        ) == 2
+        assert "hcompress_x_none" not in reg
+        assert list(reg.get("hcompress_x_empty").series_items()) == []
+
+    def test_a_row_cannot_redeclare_a_family_differently(self) -> None:
+        obs = Observability()
+        row = Metric("hcompress_tasks_total", "clash", "moves", kind="gauge")
+        with pytest.raises(HCompressError):
+            obs.mirror(_FlushStats(), (row,))
 
 
 class TestExport:

@@ -1,4 +1,4 @@
-"""Replication telemetry: promotion counter push + coordinator mirror."""
+"""Replication telemetry: the coordinator's view, mirrored per shard."""
 
 from __future__ import annotations
 
@@ -13,12 +13,26 @@ def _obs() -> Observability:
     return Observability(ObservabilityConfig(enabled=True))
 
 
+def _coordinator(tmp_path, shards: int = 1) -> ReplicationCoordinator:
+    return ReplicationCoordinator(
+        shards,
+        ReplicationConfig(enabled=True, replicas=2),
+        tmp_path,
+        fsync=False,
+    )
+
+
 class TestPush:
-    def test_record_shard_promotion_increments_counter(self) -> None:
+    def test_record_shard_promotion_increments_counter(self, tmp_path) -> None:
+        """The coordinator's failover count is the counter's only writer:
+        it reads the same on whichever engine holds the shard today."""
+        coordinator = _coordinator(tmp_path, shards=2)
+        coordinator.failovers[0] += 2
+        coordinator.failovers[1] += 1
         obs = _obs()
-        obs.record_shard_promotion("0")
-        obs.record_shard_promotion("0")
-        obs.record_shard_promotion("1")
+        for shard, status in coordinator.status().items():
+            obs.mirror(status, ReplicationCoordinator.METRICS, shard=shard)
+        coordinator.close()
         reg = obs.registry
         assert reg.value(
             "hcompress_replication_promotions_total", shard="0"
@@ -32,12 +46,7 @@ class TestMirror:
     def test_sync_replication_mirrors_coordinator_view(
         self, tmp_path
     ) -> None:
-        coordinator = ReplicationCoordinator(
-            1,
-            ReplicationConfig(enabled=True, replicas=2),
-            tmp_path,
-            fsync=False,
-        )
+        coordinator = _coordinator(tmp_path)
         journal = Journal(tmp_path / "primary" / "journal.wal", fsync=False)
         coordinator.attach(0, journal)
         journal.append("commit", "t0", ENTRIES)
@@ -45,7 +54,7 @@ class TestMirror:
         # One standby falls behind: fake a lag by rolling its LSN back.
         coordinator.standbys[0][1].applied_lsn = 1
         obs = _obs()
-        obs.sync_replication(coordinator, 0)
+        obs.mirror(coordinator.status()[0], ReplicationCoordinator.METRICS, shard=0)
         reg = obs.registry
         assert reg.value(
             "hcompress_replication_shipped_records_total", shard="0"
@@ -90,19 +99,23 @@ class TestEndToEnd:
             if sharded.ring.route(f"tenant-{t}") == 0
         )
         sharded.compress(gamma_f64, task_id="t0", tenant=tenant)
-        sharded.kill_shard(0)
-        engine = sharded.failover(0)
-        spans = [s for s in engine.obs.tracer.spans
-                 if s.name == "replication.promote"]
-        assert len(spans) == 1
-        assert spans[0].attrs["shard"] == 0
-        assert spans[0].attrs["applied_lsn"] == engine.journal.durable_lsn
-        assert engine.obs.registry.value(
-            "hcompress_replication_promotions_total", shard="0"
-        ) == 1
-        # observabilities() mirrors the coordinator into the shard view.
-        obs = sharded.observabilities()[0]
-        assert obs.registry.value(
-            "hcompress_replication_shipped_records_total", shard="0"
-        ) >= 1
+        for promotions in (1, 2):
+            sharded.kill_shard(0)
+            engine = sharded.failover(0)
+            # Each promoted engine is a fresh one and saw one promotion.
+            spans = [s for s in engine.obs.tracer.spans
+                     if s.name == "replication.promote"]
+            assert len(spans) == 1
+            assert spans[0].attrs["shard"] == 0
+            assert spans[0].attrs["applied_lsn"] == engine.journal.durable_lsn
+            # observabilities() mirrors the coordinator into the shard
+            # view: the counter is the shard's history, not the engine's.
+            obs = sharded.observabilities()[0]
+            assert obs is engine.obs
+            assert obs.registry.value(
+                "hcompress_replication_promotions_total", shard="0"
+            ) == promotions
+            assert obs.registry.value(
+                "hcompress_replication_shipped_records_total", shard="0"
+            ) >= 1
         sharded.close()

@@ -105,6 +105,27 @@ class TestCommands:
         misses = report["plan_cache"]["misses"]
         assert hits + misses == 16
 
+    def test_stats_json_is_one_document_sharded_or_not(self, capsys) -> None:
+        """One builder over a list of engines: a sharded run is the
+        single-engine document, summed, plus a ``shards`` section."""
+        burst = ["stats", "--tasks", "16", "--kib", "16", "--json"]
+        assert main(burst) == 0
+        single = json.loads(capsys.readouterr().out)
+        assert main([*burst, "--shards", "2"]) == 0
+        sharded = json.loads(capsys.readouterr().out)
+        assert list(sharded) == [*single, "shards"]
+        for name, section in single.items():
+            assert list(sharded[name]) == list(section)
+        assert single["plans"]["tasks_planned"] == 16
+        assert sharded["plans"]["tasks_planned"] == 16
+        assert sharded["shards"]["count"] == 2
+        assert sum(sharded["shards"]["tasks_by_shard"].values()) == 16
+        # A list of one sums to itself: counts stay ints, rates floats.
+        assert type(single["plan_cache"]["hits"]) is int
+        assert single["plan_cache"]["hit_rate"] == (
+            single["plan_cache"]["hits"] / 16
+        )
+
 
 class TestObservabilityCommands:
     """``hcompress metrics`` / ``hcompress trace`` — tiny instrumented runs."""
@@ -139,6 +160,17 @@ class TestObservabilityCommands:
         assert main(["metrics", *self.RUN, "--output", str(out)]) == 0
         snap = json.loads(out.read_text())
         assert snap["schema"] == "hcompress.metrics.v1"
+
+    def test_metrics_sharded_merges_every_registry(self, capsys) -> None:
+        """No engine declares a ``shard``-labelled family of its own (the
+        replication ones come from the coordinator of a replicated
+        deployment), so unreplicated registries merge under ``shard``."""
+        assert main(["metrics", "--shards", "2", "--steps", "1", "--json"]) == 0
+        metrics = json.loads(capsys.readouterr().out)["metrics"]
+        assert all(f["labels"][-1] == "shard" for f in metrics.values())
+        tasks = metrics["hcompress_tasks_total"]["series"]
+        assert {s["labels"]["shard"] for s in tasks} == {"0", "1"}
+        assert not any("replication" in name for name in metrics)
 
     def test_trace_rollup_output(self, capsys) -> None:
         assert main(["trace", *self.RUN]) == 0

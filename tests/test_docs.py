@@ -6,24 +6,9 @@ tier-1 suite, not just the CI docs job.
 
 from __future__ import annotations
 
-import importlib.util
-import sys
 from pathlib import Path
 
-import pytest
-
 REPO = Path(__file__).resolve().parent.parent
-
-
-@pytest.fixture(scope="module")
-def check_docs():
-    spec = importlib.util.spec_from_file_location(
-        "check_docs", REPO / "tools" / "check_docs.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["check_docs"] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_markdown_links_resolve(check_docs) -> None:
@@ -55,42 +40,18 @@ def test_required_docs_exist() -> None:
 
 
 def test_observability_doc_names_real_metrics(check_docs) -> None:
-    """Every hcompress_* metric family documented in OBSERVABILITY.md
-    exists in a synced engine export (and vice versa for push families),
-    so the reference cannot drift from the code."""
-    import re
+    """The metric reference of OBSERVABILITY.md names exactly the families
+    ``src/repro`` declares, and every family is declared exactly once —
+    in ``Observability.__init__`` (a push) or in one ``Metric`` table row
+    (a mirror), never both."""
+    assert check_docs.check_metric_reference() == []
 
-    import numpy as np
 
-    from repro.core import HCompress, HCompressConfig, ObservabilityConfig
-    from repro.core.profiler import HCompressProfiler
-    from repro.tiers import ares_hierarchy
-    from repro.units import KiB, MiB
-
-    doc = (REPO / "docs" / "OBSERVABILITY.md").read_text()
-    documented = set(re.findall(r"hcompress_[a-z0-9_{},]+", doc))
-
-    seed = HCompressProfiler(rng=np.random.default_rng(0)).quick_seed(
-        sizes=(8 * KiB,)
-    )
-    engine = HCompress(
-        ares_hierarchy(4 * MiB, 8 * MiB, 64 * MiB),
-        HCompressConfig(observability=ObservabilityConfig(enabled=True)),
-        seed=seed,
-    )
-    engine.compress(b"drift check " * 512, task_id="t0")
-    exported = set(engine.sync_telemetry().export_metrics()["metrics"])
-
-    # Expand the doc's {a,b} shorthand before comparing.
-    expanded = set()
-    for name in documented:
-        match = re.match(r"(.*)\{([a-z0-9_,]+)\}(.*)", name)
-        if match and "," in match.group(2):
-            for part in match.group(2).split(","):
-                expanded.add(match.group(1) + part + match.group(3))
-        else:
-            expanded.add(name.split("{", 1)[0].rstrip("_"))
-    expanded = {n.rstrip("_").rstrip(",") for n in expanded}
-
-    undocumented = exported - expanded
-    assert not undocumented, f"exported but not in OBSERVABILITY.md: {sorted(undocumented)}"
+def test_metric_reference_shorthand_is_expanded(check_docs) -> None:
+    assert check_docs.documented_families(
+        "`hcompress_a_{hits,misses}_total{kind}`, the hcompress_shi_* "
+        "pushes and `hcompress_lag_records{shard,replica}`"
+    ) == {
+        "hcompress_a_hits_total", "hcompress_a_misses_total",
+        "hcompress_lag_records",
+    }

@@ -6,7 +6,7 @@ Run from the repository root (CI's docs job does)::
     PYTHONPATH=src python tools/check_docs.py            # run every check
     PYTHONPATH=src python tools/check_docs.py --update-golden
 
-Three checks, each also importable for the pytest wrapper
+The checks, each also importable for the pytest wrapper
 (``tests/test_docs.py``):
 
 * **check_links** — every relative markdown link in the repo's ``*.md``
@@ -22,11 +22,18 @@ Three checks, each also importable for the pytest wrapper
 * **check_orphans** — every page under ``docs/`` is reachable from
   README.md (directly, or via a page README links). An orphan page is a
   page nobody can discover; link it or delete it.
+* **check_metric_reference** — the ``hcompress_*`` family names in
+  ``docs/OBSERVABILITY.md`` (brace groups expanded) are exactly the set
+  ``src/repro`` declares — passed to ``counter`` / ``gauge`` /
+  ``histogram`` or listed in a ``Metric`` table row — and every family is
+  declared exactly once.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import collections
 import contextlib
 import doctest
 import io
@@ -163,6 +170,71 @@ def check_orphans() -> list[str]:
     ]
 
 
+_FAMILY_RE = re.compile(r"hcompress_[a-z0-9_]*(?:\{[a-z0-9_,]+\}[a-z0-9_]*)*")
+_GROUP_RE = re.compile(r"\{([a-z0-9_,]+)\}")
+
+
+def documented_families(text: str) -> set[str]:
+    """Family names a doc mentions: ``a_{x,y}_total`` is two names, a
+    trailing ``{label,...}`` is a label list, ``hcompress_shi_*`` (a
+    prefix, left ending in ``_``) is prose."""
+    names: set[str] = set()
+    for token in _FAMILY_RE.findall(text):
+        token = re.sub(r"\{[a-z0-9_,]+\}$", "", token)
+        expanded = [token]
+        while any("{" in name for name in expanded):
+            expanded = [
+                name.replace(match.group(0), part, 1)
+                for name in expanded
+                if (match := _GROUP_RE.search(name))
+                for part in match.group(1).split(",")
+            ]
+        names.update(name for name in expanded if not name.endswith("_"))
+    return names
+
+
+def declared_families() -> collections.Counter:
+    """How often ``src/repro`` declares each family: a string literal
+    handed first to ``.counter()`` / ``.gauge()`` / ``.histogram()`` or to
+    a ``Metric(...)`` row."""
+    declared: collections.Counter = collections.Counter()
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            func = node.func
+            callee = getattr(func, "attr", getattr(func, "id", None))
+            first = node.args[0]
+            if (
+                callee in ("counter", "gauge", "histogram", "Metric")
+                and isinstance(first, ast.Constant)
+                and isinstance(first.value, str)
+                and first.value.startswith("hcompress_")
+            ):
+                declared[first.value] += 1
+    return declared
+
+
+def check_metric_reference() -> list[str]:
+    """docs/OBSERVABILITY.md names exactly the declared families, and each
+    family has one declaration."""
+    declared = declared_families()
+    documented = documented_families(
+        (REPO / "docs" / "OBSERVABILITY.md").read_text()
+    )
+    return [
+        f"{name}: declared {count} times under src/repro"
+        for name, count in sorted(declared.items())
+        if count != 1
+    ] + [
+        f"{name}: declared under src/repro, missing from docs/OBSERVABILITY.md"
+        for name in sorted(set(declared) - documented)
+    ] + [
+        f"{name}: in docs/OBSERVABILITY.md, declared nowhere under src/repro"
+        for name in sorted(documented - set(declared))
+    ]
+
+
 def update_golden() -> None:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for sub in HELP_SUBCOMMANDS:
@@ -182,7 +254,10 @@ def main(argv=None) -> int:
         update_golden()
         return 0
     failures = 0
-    for check in (check_links, check_snippets, check_cli_help, check_orphans):
+    for check in (
+        check_links, check_snippets, check_cli_help, check_orphans,
+        check_metric_reference,
+    ):
         errors = check()
         status = "ok" if not errors else f"{len(errors)} problem(s)"
         print(f"{check.__name__}: {status}")
