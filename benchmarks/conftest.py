@@ -1,4 +1,4 @@
-"""Shared benchmark fixtures: the profiler seed and standard buffers."""
+"""Shared benchmark fixtures: the profiler seed and the table printer."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.ccp import SeedData
 from repro.core import HCompressProfiler
-from repro.datagen import synthetic_buffer
 from repro.units import KiB
 
 
@@ -16,13 +15,6 @@ def seed() -> SeedData:
     """One profiler seed shared by every bench."""
     profiler = HCompressProfiler(rng=np.random.default_rng(0))
     return profiler.quick_seed(sizes=(8 * KiB, 32 * KiB))
-
-
-@pytest.fixture(scope="session")
-def gamma_buffer() -> bytes:
-    return synthetic_buffer(
-        "float64", "gamma", 256 * KiB, np.random.default_rng(0)
-    )
 
 
 def table_to_extra_info(benchmark, table) -> None:

@@ -40,14 +40,19 @@ class BrotliCodec(Codec):
         n = len(data)
         if n < 64:
             return frame_wrap(MODE_STORED, n, data)
-        tokens = find_tokens(data, _PARAMS)
         serial = bytearray()
-        for tok in tokens:
-            write_varint(serial, tok.lit_len)
-            serial += data[tok.lit_start : tok.lit_start + tok.lit_len]
-            write_varint(serial, tok.match_len)
-            if tok.match_len:
-                write_varint(serial, tok.offset)
+        anchor = 0
+        for start, offset, length in zip(*find_tokens(data, _PARAMS)):
+            write_varint(serial, start - anchor)
+            serial += data[anchor:start]
+            write_varint(serial, length)
+            write_varint(serial, offset)
+            anchor = start + length
+        if anchor < n:
+            # Terminal literals-only sequence: match length 0, no offset.
+            write_varint(serial, n - anchor)
+            serial += data[anchor:]
+            write_varint(serial, 0)
         payload = get_codec("huffman").compress(bytes(serial))
         if len(payload) >= n:
             return frame_wrap(MODE_STORED, n, data)

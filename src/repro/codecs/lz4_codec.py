@@ -9,16 +9,18 @@ offset. The final sequence is literals-only. Fast scan, modest ratio — the
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import CorruptDataError
 from .base import Codec, CodecMeta, ensure_bytes, register_codec
 from .lz77 import (
     MODE_CODED,
     MODE_STORED,
     MatchParams,
-    copy_match,
     find_tokens,
     frame_parse,
     frame_wrap,
+    gather_runs,
 )
 
 _PARAMS = MatchParams(
@@ -27,24 +29,11 @@ _PARAMS = MatchParams(
 _MIN_MATCH = 4
 
 
-def _write_length(out: bytearray, value: int) -> None:
-    """Emit LZ4-style 255-extension bytes for a nibble overflow value."""
-    while value >= 255:
-        out.append(255)
-        value -= 255
-    out.append(value)
-
-
-def _read_length(buf: bytes, pos: int) -> tuple[int, int]:
-    total = 0
-    while True:
-        if pos >= len(buf):
-            raise CorruptDataError("lz4: truncated length extension")
-        byte = buf[pos]
-        pos += 1
-        total += byte
-        if byte != 255:
-            return total, pos
+def _put_length(out: memoryview, pos: int, value: int) -> None:
+    """Write LZ4-style 255-extension bytes for a nibble overflow value."""
+    full = value // 255
+    out[pos : pos + full] = b"\xff" * full
+    out[pos + full] = value % 255
 
 
 @register_codec
@@ -58,35 +47,59 @@ class Lz4Codec(Codec):
         n = len(data)
         if n < 16:
             return frame_wrap(MODE_STORED, n, data)
-        tokens = find_tokens(data, _PARAMS)
-        out = bytearray()
-        for tok in tokens:
-            lit = tok.lit_len
-            if tok.match_len:
-                mlen = tok.match_len - _MIN_MATCH
-                token_byte = (min(lit, 15) << 4) | min(mlen, 15)
-                out.append(token_byte)
-                if lit >= 15:
-                    _write_length(out, lit - 15)
-                out += data[tok.lit_start : tok.lit_start + lit]
-                out += tok.offset.to_bytes(2, "little")
-                if mlen >= 15:
-                    _write_length(out, mlen - 15)
-            else:
-                out.append(min(lit, 15) << 4)
-                if lit >= 15:
-                    _write_length(out, lit - 15)
-                out += data[tok.lit_start : tok.lit_start + lit]
-        if len(out) >= n:
+        starts, offsets, lengths = (
+            np.frombuffer(column, dtype=np.intc)
+            for column in find_tokens(data, _PARAMS)
+        )
+        # One sequence per match: token byte, literal-length extension, the
+        # literals since the previous match, 2-byte offset, match-length
+        # extension; then the terminal literals-only sequence.
+        ends = starts + lengths
+        anchors = np.zeros_like(starts)
+        anchors[1:] = ends[:-1]
+        lits = starts - anchors
+        mlens = lengths - _MIN_MATCH
+        # Extension bytes of a nibble: floor division makes it 0 below 15.
+        lit_ext = (lits - 15) // 255 + 1
+        sizes = 3 + lit_ext + lits + (mlens - 15) // 255 + 1
+        tail = n - int(ends[-1]) if ends.size else n
+        tail_at = int(sizes.sum())
+        total = tail_at + (1 + (tail - 15) // 255 + 1 + tail if tail else 0)
+        if total >= n:
             return frame_wrap(MODE_STORED, n, data)
-        return frame_wrap(MODE_CODED, n, bytes(out))
+
+        body = np.zeros(total, dtype=np.uint8)
+        at = np.cumsum(sizes, dtype=np.intc) - sizes
+        body[at] = (np.minimum(lits, 15) << 4) | np.minimum(mlens, 15)
+        lit_at = at + 1 + lit_ext
+        offset_at = lit_at + lits
+        body[offset_at] = offsets & 0xFF
+        body[offset_at + 1] = offsets >> 8
+        # Literal runs below 15 bytes — nearly all of them — in one gather;
+        # the rare sequences with an extension in a short Python loop.
+        gather_runs(body, lit_at, data, anchors, np.where(lits < 15, lits, 0))
+        out = memoryview(body)
+        for k in np.flatnonzero(lits >= 15).tolist():
+            lit, dst, src = int(lits[k]), int(lit_at[k]), int(anchors[k])
+            _put_length(out, int(at[k]) + 1, lit - 15)
+            out[dst : dst + lit] = data[src : src + lit]
+        for k in np.flatnonzero(mlens >= 15).tolist():
+            _put_length(out, int(offset_at[k]) + 2, int(mlens[k]) - 15)
+        if tail:
+            out[tail_at] = min(tail, 15) << 4
+            if tail >= 15:
+                _put_length(out, tail_at + 1, tail - 15)
+            out[total - tail :] = data[n - tail :]
+        return frame_wrap(MODE_CODED, n, body.tobytes())
 
     def decompress(self, payload: bytes) -> bytes:
         payload = ensure_bytes(payload, "payload")
         mode, size, body = frame_parse(payload, "lz4")
         if mode == MODE_STORED:
             return bytes(body)
+        # One loop, no calls: extensions and ``lz77.copy_match`` inlined.
         out = bytearray()
+        have = 0  # == len(out)
         pos = 0
         n = len(body)
         while pos < n:
@@ -94,23 +107,43 @@ class Lz4Codec(Codec):
             pos += 1
             lit = token >> 4
             if lit == 15:
-                extra, pos = _read_length(body, pos)
-                lit += extra
-            if pos + lit > n:
-                raise CorruptDataError("lz4: literal run past end of payload")
-            out += body[pos : pos + lit]
-            pos += lit
+                byte = 255
+                while byte == 255:
+                    if pos >= n:
+                        raise CorruptDataError("lz4: truncated length extension")
+                    byte = body[pos]
+                    pos += 1
+                    lit += byte
+            if lit:
+                if pos + lit > n:
+                    raise CorruptDataError("lz4: literal run past end of payload")
+                out += body[pos : pos + lit]
+                pos += lit
+                have += lit
             if pos == n:
                 break  # terminal literals-only sequence
             if pos + 2 > n:
                 raise CorruptDataError("lz4: truncated match offset")
-            offset = int.from_bytes(body[pos : pos + 2], "little")
+            offset = body[pos] | body[pos + 1] << 8
             pos += 2
-            mlen = token & 0x0F
-            if mlen == 15:
-                extra, pos = _read_length(body, pos)
-                mlen += extra
-            copy_match(out, offset, mlen + _MIN_MATCH)
+            length = (token & 0x0F) + 4  # _MIN_MATCH, spelt out in the hot loop
+            if length == 19:
+                byte = 255
+                while byte == 255:
+                    if pos >= n:
+                        raise CorruptDataError("lz4: truncated length extension")
+                    byte = body[pos]
+                    pos += 1
+                    length += byte
+            if offset <= 0 or offset > have:
+                raise CorruptDataError(f"lz: invalid match offset {offset}")
+            if offset >= length:
+                start = have - offset
+                out += out[start : start + length]
+            else:  # overlapping: replicate the pattern (RLE via LZ)
+                pattern = bytes(out[-offset:])
+                out += pattern * (length // offset) + pattern[: length % offset]
+            have += length
         if len(out) != size:
             raise CorruptDataError(
                 f"lz4: reconstructed {len(out)} bytes, expected {size}"

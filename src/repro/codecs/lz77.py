@@ -6,15 +6,20 @@ point (hash width, minimum match, window, skip acceleration) and its own
 token serialisation, which is what gives the family genuinely different
 speed/ratio trade-offs — mirroring how the original C libraries differ.
 
-The matcher is a single Python loop, but all position hashes are precomputed
-vectorised with numpy and match extension compares memory in chunks, so the
-per-byte Python work stays small. Skip acceleration (as in LZ4) keeps the
-loop sub-linear on incompressible input.
+The matcher is the engine's hot loop on real bytes: compressible input
+yields a short match every few bytes, so its cost is per *token*. It inserts
+into the hash table only at the positions it visits — the stored bytes
+depend on that — so it stays one sequential loop (DESIGN.md §5, "LZ
+kernels") with everything else hoisted out: hashes and prefix values come
+from numpy and are read back through memoryviews, extension is inline, and
+the result is three int32 columns the serialisers consume vectorised. Skip
+acceleration (as in LZ4) keeps it sub-linear on incompressible input.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +28,8 @@ from ..errors import CorruptDataError
 
 __all__ = [
     "MatchParams",
-    "Token",
     "find_tokens",
-    "reconstruct",
+    "gather_runs",
     "frame_wrap",
     "frame_parse",
     "write_varint",
@@ -69,113 +73,93 @@ class MatchParams:
             raise ValueError("window must be positive")
 
 
-@dataclass(frozen=True)
-class Token:
-    """One LZ77 sequence: a run of literals followed by an optional match.
-
-    ``match_len == 0`` marks a terminal literals-only token (and then
-    ``offset`` is 0 too).
-    """
-
-    lit_start: int
-    lit_len: int
-    offset: int
-    match_len: int
-
-
-def _position_hashes(data: bytes, params: MatchParams) -> np.ndarray:
-    """Vectorised hash of the ``min_match``-byte prefix at every position.
-
-    Positions within ``min_match - 1`` of the end get no hash (array is
-    shorter than ``len(data)``); the scan loop never reads past it.
-    """
-    arr = np.frombuffer(data, dtype=np.uint8)
-    n = arr.size
-    span = 4 if params.min_match >= 4 else 3
-    if n < span:
-        return np.empty(0, dtype=np.uint32)
-    m = n - span + 1
-    value = arr[:m].astype(np.uint32)
-    value |= arr[1 : m + 1].astype(np.uint32) << np.uint32(8)
-    value |= arr[2 : m + 2].astype(np.uint32) << np.uint32(16)
-    if span == 4:
-        value |= arr[3 : m + 3].astype(np.uint32) << np.uint32(24)
-    return (value * _HASH_MULT) >> np.uint32(32 - params.hash_bits)
-
-
-def _extend_match(data: bytes, a: int, b: int, limit: int) -> int:
-    """Length of the common prefix of data[a:] and data[b:], capped at
-    ``limit``. Compares in 64-byte chunks to amortise Python overhead."""
-    length = 0
-    chunk = 64
-    while length + chunk <= limit:
-        if data[a + length : a + length + chunk] == data[b + length : b + length + chunk]:
-            length += chunk
-            continue
-        break
-    while length < limit and data[a + length] == data[b + length]:
-        length += 1
-    return length
-
-
-def find_tokens(data: bytes, params: MatchParams) -> list[Token]:
+def find_tokens(data: bytes, params: MatchParams) -> tuple[array, array, array]:
     """Greedy single-pass tokenisation of ``data``.
 
-    Invariants (validated by the property tests): token literal spans plus
-    match lengths tile the input exactly; every offset is within
-    ``params.window`` and every match length within
-    ``[min_match, max_match]``.
+    Returns three parallel int32 columns ``(match_starts, offsets,
+    match_lengths)``, one entry per match in input order (int32: inputs are
+    the engine's pieces, far below 2 GiB). The bytes between
+    one match's end and the next one's start (and after the last match) are
+    literals. Invariants (validated by the property tests): matches do not
+    overlap; every offset is within ``params.window`` and every match length
+    within ``[min_match, max_match]``.
     """
     n = len(data)
-    tokens: list[Token] = []
-    if n == 0:
-        return tokens
-    hashes = _position_hashes(data, params)
+    starts, offsets, lengths = array("i"), array("i"), array("i")
     span = 4 if params.min_match >= 4 else 3
     # Leave the final 4 bytes unmatched (mirrors LZ4's end-of-block rule and
     # guarantees a terminal literal run exists for formats that need one).
     match_limit = n - span - 4
-    table = np.full(1 << params.hash_bits, -1, dtype=np.int64)
+    if match_limit < 0:
+        return starts, offsets, lengths
+    # Little-endian value of the ``span``-byte prefix at every position and
+    # its multiplicative hash, built in place: two arrays, no temporaries.
+    arr = np.frombuffer(data, dtype=np.uint8)
+    m = n - span + 1
+    prefix = arr[span - 1 : span - 1 + m].astype(np.uint32)
+    for k in range(span - 2, -1, -1):
+        prefix <<= np.uint32(8)
+        prefix |= arr[k : k + m]
+    hash_array = prefix * _HASH_MULT
+    hash_array >>= np.uint32(32 - params.hash_bits)
+    hashes, prefixes = memoryview(hash_array), memoryview(prefix)
 
-    i = 0
-    anchor = 0
-    misses = 0
     min_match = params.min_match
     window = params.window
     max_match = params.max_match
+    skip_trigger = params.skip_trigger
+    # An empty slot holds a position that is always out of the window.
+    table = [-window - 1] * (1 << params.hash_bits)
+    i = 0
+    misses = 0
     while i <= match_limit:
         h = hashes[i]
-        cand = int(table[h])
+        cand = table[h]
         table[h] = i
         if (
-            cand >= 0
-            and i - cand <= window
-            and data[cand : cand + min_match] == data[i : i + min_match]
-        ):
-            limit = min(n - i, max_match)
-            mlen = min_match + _extend_match(
-                data, cand + min_match, i + min_match, limit - min_match
+            i - cand <= window
+            and prefixes[cand] == prefixes[i]
+            and (
+                min_match == span
+                or data[cand + span : cand + min_match]
+                == data[i + span : i + min_match]
             )
-            tokens.append(Token(anchor, i - anchor, i - cand, mlen))
-            i += mlen
-            anchor = i
+        ):
+            j = i + min_match
+            c = cand + min_match
+            end = n if n - i < max_match else i + max_match
+            # Most matches are a few bytes long: probe bytewise first.
+            stop = j + 16 if j + 16 < end else end
+            while j < stop and data[c] == data[j]:
+                j += 1
+                c += 1
+            if j == stop:  # a long one: compare slices, coarse to fine
+                for step in (1024, 64, 8, 1):
+                    while j + step <= end and data[c : c + step] == data[j : j + step]:
+                        j += step
+                        c += step
+            starts.append(i)
+            offsets.append(i - cand)
+            lengths.append(j - i)
+            i = j
             misses = 0
         else:
             misses += 1
-            i += 1 + (misses >> params.skip_trigger)
-    if anchor < n or not tokens:
-        tokens.append(Token(anchor, n - anchor, 0, 0))
-    return tokens
+            i += 1 + (misses >> skip_trigger)
+    return starts, offsets, lengths
 
 
-def reconstruct(data_parts: list[bytes], total: int) -> bytes:
-    """Join decoder output parts and validate the final size."""
-    out = b"".join(data_parts)
-    if len(out) != total:
-        raise CorruptDataError(
-            f"lz: reconstructed {len(out)} bytes, expected {total}"
-        )
-    return out
+def gather_runs(
+    body: np.ndarray, targets: np.ndarray, data: bytes, sources: np.ndarray,
+    counts: np.ndarray,
+) -> None:
+    """``body[targets[k]:][:counts[k]] = data[sources[k]:][:counts[k]]`` for
+    every k in one indexed copy: the many short literal runs of a block."""
+    first = np.cumsum(counts, dtype=np.intc) - counts
+    run = np.arange(int(counts.sum()), dtype=np.intc)
+    body[np.repeat(targets - first, counts) + run] = np.frombuffer(
+        data, dtype=np.uint8
+    )[np.repeat(sources - first, counts) + run]
 
 
 def copy_match(out: bytearray, offset: int, length: int) -> None:

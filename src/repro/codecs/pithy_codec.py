@@ -35,6 +35,12 @@ _TAG_LITERAL = 0
 _TAG_COPY = 1
 
 
+def _emit_literal(out: bytearray, run: bytes) -> None:
+    out.append(_TAG_LITERAL)
+    write_varint(out, len(run))
+    out += run
+
+
 @register_codec
 class PithyCodec(Codec):
     """Speed-first wide-window LZ with 6-byte minimum matches."""
@@ -46,17 +52,17 @@ class PithyCodec(Codec):
         n = len(data)
         if n < 16:
             return frame_wrap(MODE_STORED, n, data)
-        tokens = find_tokens(data, _PARAMS)
         out = bytearray()
-        for tok in tokens:
-            if tok.lit_len:
-                out.append(_TAG_LITERAL)
-                write_varint(out, tok.lit_len)
-                out += data[tok.lit_start : tok.lit_start + tok.lit_len]
-            if tok.match_len:
-                out.append(_TAG_COPY)
-                out.append(tok.match_len - 6)
-                out += tok.offset.to_bytes(3, "little")
+        anchor = 0
+        for start, offset, length in zip(*find_tokens(data, _PARAMS)):
+            if start > anchor:
+                _emit_literal(out, data[anchor:start])
+            out.append(_TAG_COPY)
+            out.append(length - 6)
+            out += offset.to_bytes(3, "little")
+            anchor = start + length
+        if anchor < n:
+            _emit_literal(out, data[anchor:])
         if len(out) >= n:
             return frame_wrap(MODE_STORED, n, data)
         return frame_wrap(MODE_CODED, n, bytes(out))

@@ -40,16 +40,16 @@ class QuicklzCodec(Codec):
         n = len(data)
         if n < 16:
             return frame_wrap(MODE_STORED, n, data)
-        tokens = find_tokens(data, _PARAMS)
-
-        # Flatten tokens into (is_match, payload) entries.
+        # Flatten literals and matches into (is_match, payload) entries.
         entries: list[tuple[bool, bytes]] = []
-        for tok in tokens:
-            for j in range(tok.lit_start, tok.lit_start + tok.lit_len):
+        anchor = 0
+        for start, offset, length in zip(*find_tokens(data, _PARAMS)):
+            for j in range(anchor, start):
                 entries.append((False, data[j : j + 1]))
-            if tok.match_len:
-                record = ((tok.offset - 1) << 11) | (tok.match_len - 3)
-                entries.append((True, record.to_bytes(3, "little")))
+            record = ((offset - 1) << 11) | (length - 3)
+            entries.append((True, record.to_bytes(3, "little")))
+            anchor = start + length
+        entries.extend((False, data[j : j + 1]) for j in range(anchor, n))
 
         out = bytearray()
         for g in range(0, len(entries), _GROUP):

@@ -31,19 +31,24 @@ _TAG_LITERAL = 0
 _TAG_COPY1 = 1
 _TAG_COPY2 = 2
 _TAG_COPY4 = 3
+_MAX_LITERAL = 1 << 16
 
 
-def _emit_literal(out: bytearray, chunk: bytes) -> None:
-    length = len(chunk) - 1
-    if length < 60:
-        out.append((length << 2) | _TAG_LITERAL)
-    elif length < 1 << 8:
-        out.append((60 << 2) | _TAG_LITERAL)
-        out.append(length)
-    else:
-        out.append((61 << 2) | _TAG_LITERAL)
-        out += length.to_bytes(2, "little")
-    out += chunk
+def _emit_literal(out: bytearray, run: bytes) -> None:
+    # The widest length extension emitted is two bytes (length - 1), so a
+    # longer run is split into 64 KiB elements.
+    for start in range(0, len(run), _MAX_LITERAL):
+        chunk = run[start : start + _MAX_LITERAL]
+        length = len(chunk) - 1
+        if length < 60:
+            out.append((length << 2) | _TAG_LITERAL)
+        elif length < 1 << 8:
+            out.append((60 << 2) | _TAG_LITERAL)
+            out.append(length)
+        else:
+            out.append((61 << 2) | _TAG_LITERAL)
+            out += length.to_bytes(2, "little")
+        out += chunk
 
 
 def _emit_copy2(out: bytearray, offset: int, length: int) -> None:
@@ -64,14 +69,16 @@ class SnappyCodec(Codec):
         n = len(data)
         if n < 16:
             return frame_wrap(MODE_STORED, n, data)
-        tokens = find_tokens(data, _PARAMS)
         out = bytearray()
         write_varint(out, n)
-        for tok in tokens:
-            if tok.lit_len:
-                _emit_literal(out, data[tok.lit_start : tok.lit_start + tok.lit_len])
-            if tok.match_len:
-                _emit_copy2(out, tok.offset, tok.match_len)
+        anchor = 0
+        for start, offset, length in zip(*find_tokens(data, _PARAMS)):
+            if start > anchor:
+                _emit_literal(out, data[anchor:start])
+            _emit_copy2(out, offset, length)
+            anchor = start + length
+        if anchor < n:
+            _emit_literal(out, data[anchor:])
         if len(out) >= n:
             return frame_wrap(MODE_STORED, n, data)
         return frame_wrap(MODE_CODED, n, bytes(out))

@@ -21,7 +21,8 @@ import zlib
 import pytest
 
 from repro.codecs import codec_names, get_codec
-from repro.errors import CodecError
+from repro.codecs.lz77 import MODE_CODED, frame_wrap
+from repro.errors import CodecError, CorruptDataError
 
 SEED = 0xC0DEC
 ROUNDS = 12  # per codec per corruption mode
@@ -60,6 +61,55 @@ def test_roundtrip_under_seeded_corpus(name: str) -> None:
     for _ in range(ROUNDS):
         data = _corpus(rng, _MAX_LEN.get(name, 4096))
         assert codec.decompress(codec.compress(data)) == data
+
+
+@pytest.mark.parametrize("name", [n for n in codec_names() if n != "bsc"])
+def test_long_literal_runs_roundtrip_and_corrupt_typed(name: str) -> None:
+    """Past 64 KiB of literals (incompressible, then with a match after
+    them) every length form of every format is in play: the payloads
+    round-trip, and cut or bit-flipped they keep the decode contract."""
+    codec = get_codec(name)
+    rng = random.Random(SEED ^ zlib.crc32(name.encode()) ^ 5)
+    noise = rng.randbytes(70_000)
+    for data in (noise, noise + noise[-4096:]):
+        payload = codec.compress(data)
+        assert codec.decompress(payload) == data
+        _decode_contract(codec, payload[: rng.randrange(len(payload))])
+        flipped = bytearray(payload)
+        flipped[rng.randrange(len(flipped))] ^= 1 << rng.randrange(8)
+        _decode_contract(codec, bytes(flipped))
+
+
+#: One hand-made body per check of the two call-free decoders (``a`` = 0x61).
+_MALFORMED = {
+    "lz4": [
+        (b"\xf0", "truncated length extension"),
+        (b"\x50ab", "literal run past end"),
+        (b"\x10a\x01", "truncated match offset"),
+        (b"\x1fa\x01\x00\xff", "truncated length extension"),
+        (b"\x10a\x00\x00", "invalid match offset 0"),
+        (b"\x10a\x05\x00", "invalid match offset 5"),
+        (b"\x10a\x01\x00", "reconstructed 5 bytes"),
+    ],
+    "lzo": [
+        (b"\x01a\x20", "truncated match"),
+        (b"\x00\x80", "varint: truncated"),
+        (b"\x00" + b"\x80" * 11, "varint: overlong"),
+        (b"\x05ab", "literal run past end"),
+        (b"\x01a\x20\x04", "invalid match offset 5"),
+        (b"\x01a\xe0\x00\x80", "varint: truncated"),
+        # Would replicate ``a`` 2**35 times (MemoryError before PR 20).
+        (b"\x01a\xe0\x00\xff\xff\xff\xff\x7f", "match past declared size"),
+        (b"\x01a\x20\x00", "reconstructed 4 bytes"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_lz_decoders_reject_each_malformed_form(name: str) -> None:
+    for body, message in _MALFORMED[name]:
+        with pytest.raises(CorruptDataError, match=message):
+            get_codec(name).decompress(frame_wrap(MODE_CODED, 64, body))
 
 
 @pytest.mark.parametrize("name", codec_names())

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.codecs import codec_names, get_codec
+from repro.codecs.lz77 import MODE_CODED
 
 _RNG = np.random.default_rng(99)
 
@@ -35,6 +36,36 @@ def test_roundtrip(codec_name: str, dataset: str) -> None:
     codec = get_codec(codec_name)
     data = DATASETS[dataset]
     payload = codec.compress(data)
+    assert codec.decompress(payload) == data
+
+
+#: Literal runs past 64 KiB: the widest literal length snappy's element
+#: format can carry, and past every codec's one-byte length forms.
+_NOISE = _RNG.integers(0, 256, 70_000, dtype=np.uint8).tobytes()
+LONG_LITERALS = {
+    "incompressible": _NOISE,
+    "literals_then_match": _NOISE + _NOISE[-4096:],
+}
+
+
+@pytest.mark.parametrize("codec_name", [n for n in codec_names() if n != "bsc"])
+@pytest.mark.parametrize("dataset", sorted(LONG_LITERALS))
+def test_roundtrip_long_literal_run(codec_name: str, dataset: str) -> None:
+    codec = get_codec(codec_name)
+    data = LONG_LITERALS[dataset]
+    assert codec.decompress(codec.compress(data)) == data
+
+
+def test_snappy_splits_literal_runs_past_64_kib() -> None:
+    """Regression: a literal run longer than 65 536 bytes overflowed the
+    two-byte length extension (``OverflowError`` out of ``compress``)."""
+    codec = get_codec("snappy")
+    data = np.random.default_rng(1).integers(0, 256, 70_000, dtype=np.uint8).tobytes()
+    assert codec.decompress(codec.compress(data)) == data
+    # Followed by a match the run is *coded*, not stored: two elements.
+    data = LONG_LITERALS["literals_then_match"]
+    payload = codec.compress(data)
+    assert payload[0] == MODE_CODED and len(payload) < len(data)
     assert codec.decompress(payload) == data
 
 
