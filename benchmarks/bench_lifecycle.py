@@ -19,6 +19,8 @@ Usage::
     python benchmarks/bench_lifecycle.py --output BENCH_lifecycle.json
     python benchmarks/bench_lifecycle.py --check BENCH_lifecycle.json \
         --tolerance 0.3   # fail if the cost saving regressed > 30%
+    python benchmarks/bench_lifecycle.py --check BENCH_lifecycle.json \
+        --exact           # CI: every modeled number equal to the baseline's
 """
 
 from __future__ import annotations
@@ -121,9 +123,15 @@ def generate_report(workload: dict | None = None) -> dict:
 
 
 def check_report(
-    report: dict, baseline: dict | None, tolerance: float
+    report: dict, baseline: dict | None, tolerance: float, exact: bool = False
 ) -> list[str]:
-    """Return regression errors (empty list = pass)."""
+    """Return regression errors (empty list = pass).
+
+    ``exact`` additionally holds every modeled number of both runs (the
+    bill, its parts, the read waits, what moved where) equal to the
+    baseline's: they are machine-independent, so a change that claims not
+    to alter behaviour must reproduce them to the last printed digit.
+    """
     errors = []
     base = report["runs"]["baseline"]
     life = report["runs"]["lifecycle"]
@@ -148,6 +156,11 @@ def check_report(
                 f"committed {committed:.1%} (floor {floor:.1%} at "
                 f"tolerance {tolerance:.0%})"
             )
+        for name in ("baseline", "lifecycle") if exact else ():
+            run, committed_run = report["runs"][name], baseline["runs"][name]
+            if run != committed_run:
+                moved = sorted(k for k in run if run[k] != committed_run.get(k))
+                errors.append(f"{name} run moved off the baseline: {moved}")
     return errors
 
 
@@ -192,6 +205,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--tolerance", type=float, default=0.3)
     parser.add_argument(
+        "--exact", action="store_true",
+        help="with --check: every modeled number must equal the baseline's",
+    )
+    parser.add_argument(
         "--tasks", type=int, default=DEFAULT_WORKLOAD["tasks"]
     )
     parser.add_argument(
@@ -210,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     baseline = None
     if args.check is not None:
         baseline = json.loads(args.check.read_text())
-    errors = check_report(report, baseline, args.tolerance)
+    errors = check_report(report, baseline, args.tolerance, args.exact)
     for error in errors:
         print(f"FAIL: {error}", file=sys.stderr)
     return 1 if errors else 0

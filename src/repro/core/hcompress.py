@@ -15,6 +15,7 @@ the paper's C implementation.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -26,10 +27,12 @@ from ..ccp import (
     CompressionCostPredictor,
     FeatureEncoder,
     FeedbackLoop,
+    ObservationKey,
     SeedData,
     load_seed,
     save_seed,
 )
+from ..codecs.metadata import HEADER_SIZE
 from ..codecs.pool import CompressionLibraryPool
 from ..errors import (
     CapacityError,
@@ -277,6 +280,7 @@ class HCompress:
             journal=self.journal, crashpoints=crashpoints,
             content_digests=self.config.scrub.content_digests,
             verify_digests=self.config.scrub.verify_reads,
+            predict_stored=self.predict_stored,
         )
         # Lifecycle daemon: strictly opt-in, same contract as QoS. When
         # disabled no daemon exists, the read/write paths pay one
@@ -699,6 +703,16 @@ class HCompress:
             operation=Operation.WRITE,
             data=data,
         )
+
+    def predict_stored(self, data: bytes, codec: str) -> int:
+        """Stored bytes (header included) the cost predictor expects
+        ``codec`` to make of ``data`` — the analyzer + CCP pair every write
+        is planned with, asked by ``relocate`` before it runs a codec."""
+        features = self.analyzer.analyze(data).feature_key()
+        ratio = self.predictor.predict(
+            ObservationKey(*features, codec, len(data))
+        ).ratio
+        return HEADER_SIZE + math.ceil(len(data) / ratio)
 
     def _plan_constraints(self, dl: Deadline | None) -> dict:
         """QoS constraints for one :meth:`HcdpEngine.plan` call.

@@ -20,7 +20,7 @@ import math
 import os
 import time
 import zlib
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -227,6 +227,14 @@ class CompressionManager:
             "pieces currently quarantined (reads fail fast, typed)",
             lambda manager: len(manager.quarantined), kind="gauge",
         ),
+        Metric(
+            "hcompress_relocations_refused_total",
+            "relocate calls that moved nothing, by reason",
+            lambda manager: {
+                (reason,): n for reason, n in manager.relocations_refused.items()
+            } or None,
+            ("reason",),
+        ),
     )
 
     def __init__(
@@ -240,6 +248,7 @@ class CompressionManager:
         crashpoints=None,
         content_digests: bool = False,
         verify_digests: bool = False,
+        predict_stored: Callable[[bytes, str], int] | None = None,
     ) -> None:
         self.pool = pool
         self.shi = shi
@@ -286,6 +295,12 @@ class CompressionManager:
         # are exhausted; may return a healthy replacement blob (e.g. from a
         # replica or erasure-coded reconstruction) or None to give up.
         self.on_corrupt = on_corrupt
+        # Size hook: the engine's cost predictor, asked by ``relocate`` for
+        # the stored size of (decoded bytes, codec) before it runs the codec.
+        self.predict_stored = predict_stored
+        # Why ``relocate`` calls moved nothing: predicted_unfit /
+        # unfit_after_encode / corrupt / lost -> count.
+        self.relocations_refused: Counter = Counter()
 
     # -- piece concurrency ---------------------------------------------------
 
@@ -821,16 +836,22 @@ class CompressionManager:
         lifecycle migration and scrub repair (``cause`` is ``"lifecycle"``
         or ``"scrub"`` and prefixes the swept crash sites):
 
-        1. **copy** — each moved piece is verified against its catalog
-           entry (stored CRC, then the content digest of the bytes decoded
-           *once*; bytes a repair source supplied go through
-           :func:`~repro.scrub.fsck.validate_entry`), optionally
-           re-encoded, and placed on the first target that fits under a
+        1. **copy** — verify, size, encode, place. Every moved piece is
+           first verified against its catalog entry (stored CRC, then the
+           content digest of the bytes decoded *once*; bytes a repair
+           source supplied go through
+           :func:`~repro.scrub.fsck.validate_entry`) and every re-encode
+           is *sized* by ``predict_stored`` against a running per-target
+           remaining — so a call that cannot land is refused before its
+           first encode and its first ``put``. Only then is each piece
+           re-encoded and placed on the first target its real bytes fit
+           (the authority; the prediction only skips work) under a
            *fresh* key (``task/gN/i``) while catalog and journal still
            name the old keys. A crash strands the copies as orphans that
            recovery's sweep reclaims. A lost race (capacity, a flapping
            tier, a vanished piece) or a corrupt source evicts the copies
-           placed so far and returns ``None`` with nothing else touched.
+           placed so far, counts its reason in ``relocations_refused``
+           and returns ``None`` with nothing else touched.
         2. **journal** — :meth:`replace_task_entries`: one idempotent
            ``commit`` record, durable before the in-memory catalog
            mutates. From here a crash replays the new placement and
@@ -845,6 +866,7 @@ class CompressionManager:
         hierarchy = self.shi.hierarchy
         old = self._catalog.get(task_id)
         if old is None:
+            self.relocations_refused["lost"] += 1
             return None
         entries = list(old)
         generation = self._next_generation(task_id, old)
@@ -852,16 +874,20 @@ class CompressionManager:
         tiers: list = []
         moved = 0
         seconds = 0.0
+        unfit = "predicted_unfit"  # what a CapacityError means right now
         try:
+            staged = []
+            planned: Counter = Counter()  # target -> predicted bytes to add
             for move in moves:
                 entry = old[move.index]
-                blob, accounted, crc = move.blob, move.accounted, entry.crc32
+                blob, accounted, read_seconds = move.blob, move.accounted, 0.0
+                data = header = None
                 if blob is None:
                     src = hierarchy.find(entry.key)
                     if src is None:
                         raise TierError(f"piece {entry.key!r} lost from every tier")
                     extent = src.extent(entry.key)
-                    seconds += src.io_seconds(extent.accounted_size)
+                    read_seconds = src.io_seconds(extent.accounted_size)
                     if extent.has_payload:
                         blob = src.get(entry.key)
                     elif accounted is None:
@@ -870,20 +896,48 @@ class CompressionManager:
                     if move.codec is None:
                         intact = validate_entry(entry, blob)
                     else:
-                        intact = crc is None or zlib.crc32(blob) == crc
+                        intact = (
+                            entry.crc32 is None
+                            or zlib.crc32(blob) == entry.crc32
+                        )
                     if not intact:
                         raise CorruptDataError(
                             f"piece {entry.key!r} failed validation on relocate"
                         )
                     if move.codec is not None:
                         # Decoded once: the same bytes feed the digest
-                        # check and the new codec.
+                        # check, the size prediction and the new codec; the
+                        # stored ones are not held across the other pieces.
                         data, header = self._unwrap(entry, blob, verify=True)
-                        blob, _ = wrap_payload(
-                            data, start_offset=header.start_offset,
-                            codec_name=move.codec,
-                        )
-                        crc = None if crc is None else zlib.crc32(blob)
+                        blob = None
+                        if self.predict_stored is not None:
+                            size = self.predict_stored(data, move.codec)
+                            target = next(
+                                (
+                                    t for t in move.targets
+                                    if t.fits(planned[t] + size)
+                                ),
+                                None,
+                            )
+                            if target is None:
+                                raise CapacityError(
+                                    f"piece {entry.key!r}: predicted {size} B "
+                                    f"as {move.codec} fits no target"
+                                )
+                            planned[target] += size
+                staged.append((move, blob, accounted, read_seconds, data, header))
+            unfit = "unfit_after_encode"
+            for move, blob, accounted, read_seconds, data, header in staged:
+                entry = old[move.index]
+                crc = entry.crc32
+                seconds += read_seconds
+                if data is not None:
+                    blob, _ = wrap_payload(
+                        data, start_offset=header.start_offset,
+                        codec_name=move.codec,
+                    )
+                    crc = None if crc is None else zlib.crc32(blob)
+                if blob is not None:
                     accounted = len(blob)
                 target = next((t for t in move.targets if t.fits(accounted)), None)
                 if target is None:
@@ -900,9 +954,14 @@ class CompressionManager:
                     new_key, entry.length, move.codec or entry.codec, crc,
                     entry.digest,
                 )
-        except (TierError, CapacityError, CorruptDataError):
+        except (TierError, CapacityError, CorruptDataError) as exc:
             for tier, key in zip(tiers, keys):
                 tier.evict(key)
+            reason = (
+                "corrupt" if isinstance(exc, CorruptDataError)
+                else unfit if isinstance(exc, CapacityError) else "lost"
+            )
+            self.relocations_refused[reason] += 1
             return None
         if self.crashpoints is not None:
             self.crashpoints.reached(f"{cause}.post_copy")

@@ -120,8 +120,9 @@ class TierCostModel:
     def expected_ratio(self, codec: str) -> float:
         """Generic expected compression ratio of a codec: the mean of its
         profile's distribution hints (1.0 when the profile carries none).
-        Used to size re-encoded *modeled* pieces, whose payloads were
-        never materialised."""
+        Sizes every re-encode candidate the lifecycle scan ranks and
+        every re-encoded *modeled* piece; it has not seen the blob, so it
+        ranks — it does not decide what fits (``relocate`` does)."""
         if codec == "none":
             return 1.0
         hints = get_profile(codec).ratio_hints

@@ -9,6 +9,8 @@ names the extents it creates.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.core import HCompress, HCompressConfig
@@ -18,6 +20,7 @@ from repro.faults import LatentCorruptionInjector
 from repro.recovery import JOURNAL_NAME
 from repro.tiers import Tier, TierSpec, ares_hierarchy
 from repro.units import GiB, KiB
+from tests.lifecycle.traces import recorded
 
 
 @pytest.fixture()
@@ -47,6 +50,28 @@ def _state(engine) -> tuple:
         (engine.config.recovery.directory / JOURNAL_NAME).read_bytes(),
         engine.journal.last_lsn,
     )
+
+
+def _full_tier() -> Tier:
+    return Tier(TierSpec(name="full", capacity=8, bandwidth=1e9,
+                         latency=1e-6, lanes=1))
+
+
+@contextmanager
+def _tier_calls():
+    """Count ``Tier.put`` / ``Tier.evict`` calls, on any tier."""
+    calls = {"put": 0, "evict": 0}
+
+    def counting(name, method):
+        def counted(tier, *args, **kwargs):
+            calls[name] += 1
+            return method(tier, *args, **kwargs)
+        return counted
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in calls:
+            patch.setattr(Tier, name, counting(name, getattr(Tier, name)))
+        yield calls
 
 
 def _everywhere(engine, codec=None) -> list[Move]:
@@ -87,14 +112,90 @@ class TestRelocate:
     ) -> None:
         before = _state(engine)
         moves = _everywhere(engine, "zlib")
-        full = Tier(TierSpec(name="full", capacity=8, bandwidth=1e9,
-                             latency=1e-6, lanes=1))
-        moves[-1] = moves[-1]._replace(targets=(full,))
-        # Every piece but the last is copied before the last one fits no
-        # target: the half-placed copies must be rolled back.
-        assert engine.manager.relocate("t", moves, cause="lifecycle") is None
+        moves[-1] = moves[-1]._replace(targets=(_full_tier(),))
+        # A predictor that lies low waves the call through: every piece
+        # but the last is encoded and copied before the last one's real
+        # bytes fit no target, and the half-placed copies are rolled back.
+        engine.manager.predict_stored = lambda data, codec: 1
+        with _tier_calls() as calls, recorded() as trace:
+            assert engine.manager.relocate("t", moves, cause="lifecycle") is None
+        assert trace.encodes == len(moves)
+        assert calls["put"] == calls["evict"] == len(moves) - 1
+        assert engine.manager.relocations_refused == {"unfit_after_encode": 1}
         assert _state(engine) == before
         assert engine.decompress("t").data == gamma_f64
+
+    @pytest.mark.parametrize("unfit", ["every", "last"])
+    def test_predicted_unfit_is_refused_before_any_codec_or_tier_work(
+        self, engine, gamma_f64, unfit
+    ) -> None:
+        before = _state(engine)
+        moves = _everywhere(engine, "zlib")
+        first = 0 if unfit == "every" else len(moves) - 1
+        moves[first:] = [
+            move._replace(targets=(_full_tier(),)) for move in moves[first:]
+        ]
+        with _tier_calls() as calls, recorded() as trace:
+            assert engine.manager.relocate("t", moves, cause="lifecycle") is None
+        assert trace.encodes == 0
+        assert calls == {"put": 0, "evict": 0}
+        assert engine.manager.relocations_refused == {"predicted_unfit": 1}
+        assert _state(engine) == before
+        assert engine.decompress("t").data == gamma_f64
+
+    def test_predictions_debit_a_running_remaining(self, engine) -> None:
+        moves = _everywhere(engine, "zlib")
+        sizes = []
+
+        def sized(data, codec):
+            sizes.append(engine.predict_stored(data, codec))
+            return sizes[-1]
+
+        engine.manager.predict_stored = sized
+        assert engine.manager.relocate("t", moves, cause="lifecycle")
+        # Room for every piece but one byte of the last: each fits alone.
+        snug = Tier(TierSpec(name="snug", capacity=sum(sizes) - 1,
+                             bandwidth=1e9, latency=1e-6, lanes=1))
+        moves = [move._replace(targets=(snug,), codec="lzo") for move in moves]
+        engine.manager.predict_stored = lambda data, codec: sizes.pop(0)
+        with recorded() as trace:
+            assert engine.manager.relocate("t", moves, cause="lifecycle") is None
+        assert trace.encodes == 0 and not snug.keys()
+
+    def test_moves_that_keep_their_codec_never_ask_the_predictor(
+        self, engine, gamma_f64
+    ) -> None:
+        def never(data, codec):
+            raise AssertionError("a copy is sized by its stored bytes")
+
+        engine.manager.predict_stored = never
+        assert engine.manager.relocate("t", _everywhere(engine), cause="scrub")
+        assert engine.decompress("t").data == gamma_f64
+
+    def test_a_manager_without_an_engine_relocates_unsized(self, engine) -> None:
+        bare = CompressionManager(engine.pool, engine.shi)
+        bare.restore_catalog(engine.manager.catalog_snapshot())
+        assert bare.predict_stored is None
+        done = bare.relocate("t", _everywhere(engine, "zlib"), cause="lifecycle")
+        assert {e.codec for e in bare.task_entries("t")} == {"zlib"}
+        assert done.keys == bare.task_keys("t")
+
+    def test_restored_engine_sizes_its_first_relocation(
+        self, engine, seed, tmp_path
+    ) -> None:
+        engine.checkpoint()
+        restored = HCompress.restore(
+            tmp_path, engine.hierarchy, engine.config, seed=seed
+        )
+        moves = [
+            move._replace(targets=(_full_tier(),))
+            for move in _everywhere(restored, "zlib")
+        ]
+        with recorded() as trace:
+            assert restored.manager.relocate("t", moves, cause="lifecycle") is None
+        assert trace.encodes == 0
+        assert restored.manager.relocations_refused == {"predicted_unfit": 1}
+        restored.close()
 
     @pytest.mark.parametrize("codec", [None, "zlib"])
     def test_corrupt_source_is_refused(self, engine, codec) -> None:
@@ -102,6 +203,7 @@ class TestRelocate:
         before = _state(engine)
         moves = _everywhere(engine, codec)
         assert engine.manager.relocate("t", moves, cause="lifecycle") is None
+        assert engine.manager.relocations_refused == {"corrupt": 1}
         assert _state(engine) == before
 
     def test_supplied_blob_must_pass_validate_entry(
@@ -134,6 +236,7 @@ class TestRelocate:
 
     def test_unknown_task_is_refused(self, engine) -> None:
         assert engine.manager.relocate("ghost", [], cause="scrub") is None
+        assert engine.manager.relocations_refused == {"lost": 1}
 
     def test_generation_keys_never_collide(self) -> None:
         fresh = [CatalogEntry("t/0", 10, "lz4", None)]

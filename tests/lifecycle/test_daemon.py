@@ -301,6 +301,9 @@ class TestStatus:
         assert status["scans"] == 1
         assert status["tracked_tasks"] == 1
         assert status["promote_codec"] in engine.pool
+        assert status["refused"] == {}
+        assert engine.manager.relocate("ghost", [], cause="lifecycle") is None
+        assert engine.lifecycle.status()["refused"] == {"lost": 1}
         engine.close()
 
 
