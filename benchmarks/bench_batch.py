@@ -2,7 +2,7 @@
 
 Drives the fig-7-shaped VPIC checkpoint burst (one shared 64 KiB sample,
 8 MiB modeled slabs) through one engine per submission mode, both warmed
-to steady state (plan cache hot, burst lane established, feedback
+to steady state (plan cache hot, ECC tables built, feedback
 cadence pushed out of the measurement window). The metric is wall-clock
 tasks/second over the burst; each mode takes the **best of several
 rounds** because the per-task figure is allocator/CPU-noise sensitive at

@@ -374,23 +374,29 @@ class HCompress:
         ``tenant`` overrides the call-level one (it only matters with QoS
         active, or for routing in :class:`~repro.shard.ShardedHCompress`).
 
-        A batch of more than one task without observability, QoS or a
-        ``deadline`` plans through the engine's signature-keyed batch
-        planner after one prefetched ECC table pass, and a clean step may
-        be continued by the run lane below, which copies its receipts for
+        A batch of more than one task without observability, QoS,
+        crash-points or a ``deadline`` opens the run lane: tasks are
+        analysed up front with one prefetched ECC table pass, each step's
+        plan also opens the engine's run-lane ledger, and a clean step may
+        be continued by :meth:`_write_run`, which copies its receipts for
         the identical tasks that follow.
         """
         self._check_open()
         specs = [self._write_spec(item) for item in items]
         total = len(specs)
         planner = tasks = None
-        # A planner per call only pays for itself over several tasks, and
-        # QoS constraints / deadlines bypass the schema cache it signs.
+        # The planner is the run lane's ledger and nothing else, so a call
+        # builds one iff the run lane is open: several tasks, no QoS
+        # constraint or deadline (they bypass the schema cache whose hits
+        # a run records), and both bodies' gates — whose inputs (obs, QoS,
+        # crash-points, cache policy) cannot change mid-batch, so one
+        # check covers the whole loop.
         if (
             total > 1
             and self.qos is None
             and deadline is None
             and self.engine.batch_fast_path_ok()
+            and self.manager._batch_fastpath_ok()
         ):
             planner = self.engine.batch_planner()
             analysis_memo: dict[tuple[int, int], tuple] = {}
@@ -399,10 +405,6 @@ class HCompress:
         ctx = self.manager.batch_context()
         step = self._write_step if self.obs is None else self._write_step_traced
         results: list[WriteResult] = []
-        # Run lane eligibility: the manager's bulk body must be open too
-        # (its gate inputs — obs, QoS, crash-points — cannot change
-        # mid-batch, so one check covers the whole loop).
-        run_gate = planner is not None and self.manager._batch_fastpath_ok()
         index = 0
         while index < total:
             result = step(
@@ -411,7 +413,7 @@ class HCompress:
             )
             results.append(result)
             index += 1
-            if run_gate and index < total:
+            if planner is not None and index < total:
                 run = self._write_run(tasks, index, result, planner, ctx)
                 results.extend(run)
                 index += len(run)
@@ -560,11 +562,9 @@ class HCompress:
         """
         task = template.task
         schema = template.schema
-        if (
-            not planner._model_valid
-            or task.materialised
-            or schema._pieces_source is None
-        ):
+        # A valid ledger was opened by this very step's plan (a replan, an
+        # empty task or a receipt that moved the key leaves it invalid).
+        if not planner._model_valid or task.materialised:
             return []
         size = task.size
         analysis = task.analysis
@@ -667,8 +667,8 @@ class HCompress:
         Fully-hinted analysis is pure and counter-free (the analyzer
         short-circuits before its cache), so a batch passes ``memo`` and a
         burst reusing one buffer and hint set shares a single
-        InputAnalysis object — which also lets the batch planner's
-        per-analysis feature memo hit.
+        InputAnalysis object — which is how the run lane recognises
+        its peers.
         """
         task = spec.get("task")
         if task is not None:

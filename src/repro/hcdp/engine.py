@@ -142,6 +142,17 @@ class HcdpEngine:
         self._cache_epoch: int | None = None
         self._cache_model_version: int | None = None
         self._priority_version = 0
+        # Hierarchy constants: the tier stack, its specs and the cache
+        # policy are fixed for the engine's life, so every plan (and the
+        # run-lane ledger) reads them from here.
+        specs = [tier.spec for tier in monitor.hierarchy]
+        self._specs = specs
+        self._level_by_name = {s.name: i for i, s in enumerate(specs)}
+        self._bounded_cap = sum(
+            s.capacity for s in specs if s.capacity is not None
+        )
+        self._sink_bw = specs[-1].bandwidth
+        self._bands = self.plan_cache_config.capacity_bands
         # Sticky pressure signals: a bulk-synchronous burst plans before its
         # own I/O lands, so instantaneous load/fill underestimate the true
         # contention. Cumulative planned bytes and the peak observed
@@ -193,7 +204,7 @@ class HcdpEngine:
                 deadline_budget=deadline_budget,
                 codec_filter=codec_filter,
                 blocked_tiers=blocked_tiers,
-                _status=status,
+                status=status,
             )
         hits_before = self.stats.plan_cache_hits
         wall = time.perf_counter()
@@ -203,7 +214,7 @@ class HcdpEngine:
                 deadline_budget=deadline_budget,
                 codec_filter=codec_filter,
                 blocked_tiers=blocked_tiers,
-                _status=status,
+                status=status,
             )
             cache_hit = self.stats.plan_cache_hits > hits_before
             sp.set_attr("cache", "hit" if cache_hit else "miss")
@@ -218,7 +229,7 @@ class HcdpEngine:
         deadline_budget: float | None = None,
         codec_filter: str | None = None,
         blocked_tiers: tuple[str, ...] = (),
-        _status=None,
+        status=None,
     ) -> Schema:
         if task.operation != Operation.WRITE:
             raise PlacementError(
@@ -230,12 +241,9 @@ class HcdpEngine:
             self.stats.tasks_planned += 1
             return schema
 
-        # ``_status`` lets a caller hand over the snapshot it already took
-        # (the batch planner via sample_raw, the armed write step for QoS)
-        # instead of sampling twice; otherwise the plan samples here.
-        status = _status if _status is not None else self.monitor.status()
-        hierarchy = self.monitor.hierarchy
-        specs = [tier.spec for tier in hierarchy]
+        if status is None:
+            status = self.monitor.status()
+        specs = self._specs
         levels = len(specs)
         remaining: list[float] = []
         loads: list[int] = []
@@ -267,26 +275,21 @@ class HcdpEngine:
         self._planned_bytes += task.size
         self._peak_concurrency = max(self._peak_concurrency, sum(loads) + 1)
         drain_per_byte = 0.0
-        if self.drain_penalty:
-            bounded_cap = sum(
-                s.capacity for s in specs if s.capacity is not None
+        if self.drain_penalty and self._bounded_cap:
+            pressure = min(1.0, self._planned_bytes / self._bounded_cap)
+            # Quantize write-saturation to the capacity-band grid: the
+            # term models slow-building backlog, not per-task deltas,
+            # and a continuously drifting float would put a unique
+            # value in every plan-cache key. Applied with the cache on
+            # or off, so both paths stay byte-identical.
+            bands = self._bands
+            pressure = math.floor(pressure * bands) / bands
+            drain_per_byte = (
+                self.drain_penalty
+                * pressure
+                * self._peak_concurrency
+                / self._sink_bw
             )
-            if bounded_cap:
-                pressure = min(1.0, self._planned_bytes / bounded_cap)
-                # Quantize write-saturation to the capacity-band grid: the
-                # term models slow-building backlog, not per-task deltas,
-                # and a continuously drifting float would put a unique
-                # value in every plan-cache key. Applied with the cache on
-                # or off, so both paths stay byte-identical.
-                bands = self.plan_cache_config.capacity_bands
-                pressure = math.floor(pressure * bands) / bands
-                sink_bw = specs[-1].bandwidth
-                drain_per_byte = (
-                    self.drain_penalty
-                    * pressure
-                    * self._peak_concurrency
-                    / sink_bw
-                )
 
         # ECC table for this input; constraint 4 drops sub-unity codecs.
         # Candidates are predicted at the task's power-of-two size bucket
@@ -514,11 +517,11 @@ class HcdpEngine:
     # -- batch planning -------------------------------------------------------
 
     def batch_fast_path_ok(self) -> bool:
-        """Whether the raw-sample batch planner may be used.
+        """Whether a :class:`BatchPlanner` run may stand in for per-task plans.
 
-        Requires the whole-schema cache (the signature fast path reuses
-        its exactness contract), interval-0 monitoring (raw samples drop
-        the cached snapshot, which an interval > 0 would observe), and no
+        Requires the whole-schema cache (a run records the cache hits its
+        tasks would have been), interval-0 monitoring (a run counts one
+        sample per task, which an interval > 0 would not take), and no
         observability sink (spans/metrics are attributed per plan call).
         """
         return (
@@ -562,7 +565,7 @@ class HcdpEngine:
         )
 
     def batch_planner(self) -> "BatchPlanner":
-        """A stateful per-batch planning context (see :class:`BatchPlanner`)."""
+        """The run-lane ledger for one batch (see :class:`BatchPlanner`)."""
         return BatchPlanner(self)
 
     def _sync_cache_generation(self) -> None:
@@ -615,69 +618,51 @@ class HcdpEngine:
 
 
 class BatchPlanner:
-    """Signature-keyed fast path over :meth:`HcdpEngine._plan` for batches.
+    """The run-lane ledger of one ``compress_batch`` call (DESIGN.md §12).
 
-    One instance plans the tasks of one batch in order. Per task it
-    either takes a raw monitor sample (side-effect-identical to the
-    per-task path's ``status()`` refresh) and builds a *planning
-    signature* — every input that feeds the whole-schema cache key — or,
-    once a signature has been established, proves the signature unchanged
-    without rebuilding it: the planner tracks the only mutable signature
-    inputs (tier fill, capacity bands, the clamped-remaining view)
-    through the batch's own write receipts (:meth:`note_result`) and
-    compares the cheap scalars (size, features, model/priority versions,
-    epoch, pressure band) directly. When the signature is provably equal
-    to the previous task's, the previous plan is reused outright with the
-    same counter updates a sequential schema-cache hit would record:
-    equal signatures imply an equal context key, so the sequential path
-    would have hit the cache and returned the identical plan. Any change
-    — a capacity band crossing, the clamped remaining dipping, a model
-    update, a write the planner was not told about — falls back to the
-    full sample-and-plan path, which re-establishes the tracked state.
+    It plans nothing itself. :meth:`plan` takes one monitor snapshot,
+    hands it to :meth:`HcdpEngine.plan` — the engine's one planner and its
+    one cache key — and records from that same snapshot the inputs of the
+    key that a write can move: per-tier fill, remaining, capacity band and
+    the clamped-remaining view, next to the model/priority/epoch versions
+    and the plan it got back. :meth:`note_result` folds the task's own
+    receipts into that ledger, :meth:`run_quota` bounds in closed form
+    how many further identical tasks leave every recorded input where it
+    is, and :meth:`emit_schema` / :meth:`commit_run` stamp out that many
+    plans with the counter updates the same number of sequential
+    schema-cache hits would record: an unchanged key is a cache hit that
+    returns the identical plan. A band crossing, a clamped-remaining dip,
+    a model update or a failed write invalidates the ledger: no run
+    starts until the next :meth:`plan` re-opens it.
 
-    The only telemetry the fast path does not replicate is the plan
-    cache's internal LRU recency (a signature hit skips the
-    ``get_schema`` touch), the predictor's table-cache hit/miss split,
-    and the monitor's snapshot *timestamps* (a proven-unchanged task
-    counts its sample without consuming clock reads; times feed no
-    planning input) — all cache/clock instrumentation, not planning
-    outputs; counters that describe plans (tasks, pieces, hits/misses,
-    degraded, memo deltas, samples taken) match exactly.
+    What a run does not replay is instrumentation, not planning output:
+    the predictor's table-cache hit/miss split (run tasks make no
+    ``candidate_table`` call) and the monitor's snapshot timestamps
+    (:meth:`commit_run` counts the run's samples without reading the
+    clock; times feed no planning input). Plan-cache LRU order is not on
+    that list: a run's tasks would touch the entry its template just
+    made most recent.
 
-    Callers must hold :meth:`HcdpEngine.batch_fast_path_ok`; QoS
-    constraints (deadline, codec filter, blocked tiers) must go through
-    :meth:`HcdpEngine.plan` instead — they bypass the schema cache, so
-    there is nothing for a signature to reuse.
+    Callers must hold :meth:`HcdpEngine.batch_fast_path_ok` and have no
+    QoS constraint in force: a deadline bypasses the schema cache (no
+    hits for a run to stand in for), and a codec filter or blocked tier
+    is a key input the ledger does not record.
     """
 
     def __init__(self, engine: HcdpEngine) -> None:
         self.engine = engine
-        specs = [tier.spec for tier in engine.monitor.hierarchy]
-        self._bounded_cap = sum(
-            s.capacity for s in specs if s.capacity is not None
-        )
-        self._sink_bw = specs[-1].bandwidth if specs else 1.0
-        self._level_by_name = {s.name: i for i, s in enumerate(specs)}
-        self._bands = engine.plan_cache_config.capacity_bands
-        # Per-analysis feature-key memo: a burst's tasks share one
-        # InputAnalysis object, so the triple is computed once per batch.
-        # The entry pins the analysis so its id() stays valid.
-        self._features: dict[int, tuple] = {}
-        # Burst-lane model: the last established signature's inputs, with
-        # tier fill / remaining / band tracked live via note_result.
+        # The ledger: the last plan and the snapshot it was made on, with
+        # tier fill / remaining tracked live via note_result. Valid only
+        # between a successful plan() and the first input that moves.
         self._model_valid = False
-        self._m_plan: CachedPlan | None = None
+        self._m_plan: Schema | None = None
         self._m_pieces_len = 0
-        self._m_size = -1
-        self._m_features: tuple | None = None
         self._m_model_version = -1
         self._m_priority_version = -1
         self._m_epoch = -1
-        self._m_drain = 0.0
         self._m_clamp = 0.0
         self._m_all_avail = True
-        self._m_loads_sum = 0
-        self._m_avail: tuple = ()
+        self._m_avail: list = []
         self._m_rem: list = []
         self._m_used: list = []
         self._m_band: list = []
@@ -686,23 +671,24 @@ class BatchPlanner:
         self._run_debits: list = []
 
     def invalidate(self) -> None:
-        """Drop the burst-lane model; the next plan resamples in full."""
+        """Drop the ledger: no run starts until the next :meth:`plan`."""
         self._model_valid = False
 
     def note_result(self, result) -> None:
         """Fold one write's receipts into the tracked tier model.
 
-        Every batch write (fast path, fallback, or replan) must pass
-        through here, in execution order — the receipts carry the landed
-        tier and accounted footprint, which are the only tier mutations a
-        gated batch can make. A band crossing or clamped-remaining change
-        invalidates the model instead of updating it: the next plan runs
-        the full sample path, which bumps the epoch and re-plans exactly
-        where the sequential path would.
+        Every per-task write of the batch passes through here right after
+        its :meth:`plan` — the receipts carry the landed tier and
+        accounted footprint, which are the only tier mutations a gated
+        batch can make. A band crossing or clamped-remaining change
+        invalidates the ledger instead of updating it: no run starts, and
+        the next task's plan samples the move, bumps the epoch and
+        re-plans exactly where the sequential path would.
         """
         if not self._model_valid:
             return
-        levels = self._level_by_name
+        levels = self.engine._level_by_name
+        bands = self.engine._bands
         for piece in result.pieces:
             level = levels.get(piece.tier)
             if level is None:  # pragma: no cover - unknown tier name
@@ -727,7 +713,7 @@ class BatchPlanner:
                 band = 0
             else:
                 fraction = min(max(used / capacity, 0.0), 1.0)
-                band = min(int(fraction * self._bands), self._bands - 1)
+                band = min(int(fraction * bands), bands - 1)
             if band != self._m_band[level]:
                 self._model_valid = False
                 return
@@ -738,7 +724,7 @@ class BatchPlanner:
         ``task``/``result`` are the just-executed template. The quota is
         the largest ``k`` such that k further tasks of the same size,
         analysis, and sample — each landing the template's receipts — keep
-        every burst-lane signature input unchanged: no drain-pressure band
+        every input of the plan's cache key unchanged: no drain-pressure band
         crossing, no tier capacity-band crossing, no clamped-remaining
         dip, and every piece still fitting its planned tier. Within the
         quota the per-task plan/debit/receipt cycle collapses to bulk
@@ -754,7 +740,7 @@ class BatchPlanner:
         Returns 0 when the template is unusable as a run prototype: model
         invalid or stale-versioned, spilled/failed-over/retried pieces, or
         a tier so close to a boundary that the very next task would move
-        the signature.
+        the key.
         """
         if not self._model_valid:
             return 0
@@ -770,7 +756,7 @@ class BatchPlanner:
             # start from this template.
             return 0
         debits: dict[int, int] = {}
-        levels = self._level_by_name
+        levels = engine._level_by_name
         for piece in result.pieces:
             if piece.spilled or piece.failover or piece.retries:
                 return 0
@@ -780,11 +766,11 @@ class BatchPlanner:
             debits[level] = debits.get(level, 0) + piece.stored_size
         quota = 1 << 60
         size = task.size
-        if engine.drain_penalty and self._bounded_cap:
-            cap = self._bounded_cap
+        bands = engine._bands
+        if engine.drain_penalty and engine._bounded_cap:
+            cap = engine._bounded_cap
             planned = engine._planned_bytes
             if planned < cap:
-                bands = self._bands
                 band = math.floor(min(1.0, planned / cap) * bands)
                 k = int(((band + 1) * cap / bands - planned) // size)
                 while k > 0 and (
@@ -793,7 +779,6 @@ class BatchPlanner:
                 ):
                     k -= 1
                 quota = min(quota, k)
-        bands = self._bands
         clamp = self._m_clamp
         for level, debit in debits.items():
             if debit <= 0:
@@ -812,7 +797,7 @@ class BatchPlanner:
                 ):
                     k_clamp -= 1
             else:
-                # Remaining is below the signature clamp: any debit moves
+                # Remaining is below the key's clamp: any debit moves
                 # the clamped view, so no run can start here.
                 k_clamp = 0
             used = self._m_used[level]
@@ -837,20 +822,18 @@ class BatchPlanner:
         """One run task's schema from the established plan (no counters —
         :meth:`commit_run` records the whole run's in bulk)."""
         cached = self._m_plan
-        schema = Schema(
+        return Schema(
             task=task,
             pieces=list(cached.pieces),
             expected_cost=cached.expected_cost,
             memo_hits=cached.memo_hits,
             memo_misses=cached.memo_misses,
         )
-        schema._pieces_source = cached.pieces
-        return schema
 
     def commit_run(self, count: int, size: int) -> None:
         """Fold ``count`` executed run tasks into planner + engine state.
 
-        Exactly ``count`` sequential burst-lane hits' worth of counter
+        Exactly ``count`` sequential schema-cache hits' worth of counter
         and ledger updates (ints throughout, so bulk addition is
         bit-identical to repeated addition); the quota already proved no
         clamped/band value moves, so the model stays valid.
@@ -875,169 +858,43 @@ class BatchPlanner:
                 self._m_rem[level] = rem - count * debit
 
     def plan(self, task: IOTask) -> Schema:
+        """Plan ``task`` through the engine and open the ledger on the
+        snapshot that plan was made from."""
         engine = self.engine
+        self._model_valid = False
         if task.operation != Operation.WRITE or task.size == 0:
-            # Delegate for the exact error / empty-schema behaviour; the
-            # per-task path takes no sample for these either.
-            return engine._plan(task)
-        analysis = task.analysis
-        cached_features = self._features.get(id(analysis))
-        if cached_features is None or cached_features[0] is not analysis:
-            cached_features = (analysis, analysis.feature_key())
-            self._features[id(analysis)] = cached_features
-        features = cached_features[1]
-        if (
-            self._model_valid
-            and task.size == self._m_size
-            and features == self._m_features
-            and engine.predictor.model_version == self._m_model_version
-            and engine._priority_version == self._m_priority_version
-            and engine.monitor.state_epoch == self._m_epoch
-        ):
-            planned_after = engine._planned_bytes + task.size
-            peak_after = engine._peak_concurrency
-            observed = self._m_loads_sum + 1
-            if observed > peak_after:
-                peak_after = observed
-            drain_per_byte = 0.0
-            if engine.drain_penalty and self._bounded_cap:
-                pressure = min(1.0, planned_after / self._bounded_cap)
-                bands = self._bands
-                pressure = math.floor(pressure * bands) / bands
-                drain_per_byte = (
-                    engine.drain_penalty * pressure * peak_after / self._sink_bw
-                )
-            if drain_per_byte == self._m_drain:
-                # Signature provably equal to the previous task's: every
-                # input either compared equal above or is tier state this
-                # planner tracked through the batch's own receipts.
-                monitor = engine.monitor
-                monitor._cached = None
-                monitor._samples += 1
-                engine._planned_bytes = planned_after
-                engine._peak_concurrency = peak_after
-                stats = engine.stats
-                if not self._m_all_avail:
-                    stats.degraded_plans += 1
-                stats.plan_cache_hits += 1
-                cached = self._m_plan
-                schema = Schema(
-                    task=task,
-                    pieces=list(cached.pieces),
-                    expected_cost=cached.expected_cost,
-                    memo_hits=cached.memo_hits,
-                    memo_misses=cached.memo_misses,
-                )
-                schema._pieces_source = cached.pieces
-                stats.tasks_planned += 1
-                stats.pieces_emitted += self._m_pieces_len
-                return schema
-        return self._plan_sampled(task, features)
-
-    def _plan_sampled(self, task: IOTask, features: tuple) -> Schema:
-        """Full sample-and-sign path; re-establishes the burst model."""
-        engine = self.engine
-        raw = engine.monitor.sample_raw()
-        bucket = 1 << (task.size - 1).bit_length()
-        planned_after = engine._planned_bytes + task.size
-        loads_sum = sum(raw.loads)
-        peak_after = max(engine._peak_concurrency, loads_sum + 1)
-        drain_per_byte = 0.0
-        if engine.drain_penalty and self._bounded_cap:
-            pressure = min(1.0, planned_after / self._bounded_cap)
-            bands = self._bands
-            pressure = math.floor(pressure * bands) / bands
-            drain_per_byte = (
-                engine.drain_penalty * pressure * peak_after / self._sink_bw
-            )
-        # Same remaining-capacity clamp as ``_plan``'s context key (see
-        # repro.hcdp.plan_cache): capacities beyond bucket + header are
-        # indistinguishable to the DP, so a draining burst's shifting
-        # ledger collapses to one signature instead of missing per task.
-        # Down tiers read as 0 remaining (``TierStatus`` semantics).
-        clamp = float(bucket + HEADER_SIZE)
-        remaining = tuple(
-            (clamp if rem is None else min(float(rem), clamp)) if avail else 0.0
-            for avail, rem in zip(raw.available, raw.remaining)
-        )
-        sig = (
-            task.size,
-            features,
-            bucket,
-            engine.predictor.model_version,
-            engine._priority_version,
-            engine.monitor.state_epoch,
-            raw.available,
-            raw.loads,
-            raw.queued,
-            remaining,
-            drain_per_byte,
-        )
-        cached = engine.plan_cache.get_signature(sig)
-        if cached is not None:
-            engine._planned_bytes = planned_after
-            engine._peak_concurrency = peak_after
-            stats = engine.stats
-            if not all(raw.available):
-                stats.degraded_plans += 1
-            stats.plan_cache_hits += 1
-            schema = Schema(task=task)
-            schema.pieces = list(cached.pieces)
-            schema.expected_cost = cached.expected_cost
-            schema.memo_hits = cached.memo_hits
-            schema.memo_misses = cached.memo_misses
-            schema._pieces_source = cached.pieces
-            stats.tasks_planned += 1
-            stats.pieces_emitted += len(schema.pieces)
-            self._establish(
-                task, features, raw, cached, clamp, remaining,
-                drain_per_byte, loads_sum,
-            )
-            return schema
-        schema = engine._plan(task, _status=raw.to_status())
-        cached = CachedPlan(
-            pieces=tuple(schema.pieces),
-            expected_cost=schema.expected_cost,
-            memo_hits=schema.memo_hits,
-            memo_misses=schema.memo_misses,
-        )
-        engine.plan_cache.put_signature(sig, cached)
-        schema._pieces_source = cached.pieces
-        self._establish(
-            task, features, raw, cached, clamp, remaining, drain_per_byte,
-            loads_sum,
-        )
-        return schema
-
-    def _establish(
-        self,
-        task: IOTask,
-        features: tuple,
-        raw,
-        cached: CachedPlan,
-        clamp: float,
-        clamped_remaining: tuple,
-        drain_per_byte: float,
-        loads_sum: int,
-    ) -> None:
-        engine = self.engine
-        self._m_plan = cached
-        self._m_pieces_len = len(cached.pieces)
-        self._m_size = task.size
-        self._m_features = features
+            # The engine takes no sample for these and no run starts
+            # from them.
+            return engine.plan(task)
+        monitor = engine.monitor
+        status = monitor.status()
+        schema = engine.plan(task, status=status)
+        self._m_plan = schema
+        self._m_pieces_len = len(schema.pieces)
         self._m_model_version = engine.predictor.model_version
         self._m_priority_version = engine._priority_version
-        self._m_epoch = engine.monitor.state_epoch
-        self._m_drain = drain_per_byte
+        self._m_epoch = monitor.state_epoch
+        # The clamped-remaining view is the context key's (see
+        # repro.hcdp.plan_cache): capacities beyond bucket + header are
+        # one value, a down tier reads 0.
+        clamp = float((1 << (task.size - 1).bit_length()) + HEADER_SIZE)
         self._m_clamp = clamp
-        self._m_all_avail = all(raw.available)
-        self._m_loads_sum = loads_sum
-        self._m_avail = raw.available
-        self._m_rem = list(raw.remaining)
-        self._m_used = list(raw.used)
-        self._m_band = [band for _avail, band in raw.signature]
-        self._m_clamped = list(clamped_remaining)
+        avail, rems, used, bands, clamped = [], [], [], [], []
+        for tier in status.tiers:
+            avail.append(tier.available)
+            rems.append(tier.remaining)
+            used.append(tier.used)
+            bands.append(monitor.band(tier))
+            rem = tier.effective_remaining()
+            clamped.append(clamp if rem is None else min(float(rem), clamp))
+        self._m_avail = avail
+        self._m_all_avail = all(avail)
+        self._m_rem = rems
+        self._m_used = used
+        self._m_band = bands
+        self._m_clamped = clamped
         self._model_valid = True
+        return schema
 
 
 def _stored_size(size: int, ratio: float) -> int:

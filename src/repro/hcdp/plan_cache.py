@@ -85,19 +85,15 @@ class PlanCache:
 
     Layer 2 (``schemas``): the finished piece list per ``(task size,
     context)`` — an exact-repeat task is a single dict lookup.
+
+    The context key is built in one place, :meth:`HcdpEngine._plan`;
+    nothing else spells a planning key or looks a plan up.
     """
 
     def __init__(self, config: PlanCacheConfig) -> None:
         self.config = config
         self._memos: OrderedDict[tuple, dict] = OrderedDict()
         self._schemas: OrderedDict[tuple, CachedPlan] = OrderedDict()
-        # Batch front line: the last planning *signature* (the raw-tuple
-        # form of a context key the batch planner builds without
-        # materialising monitor snapshots) and its plan. One slot — batch
-        # bursts repeat the immediately preceding signature — cleared with
-        # the rest of the cache so invalidation stays a single contract.
-        self._signature: tuple | None = None
-        self._signature_plan: CachedPlan | None = None
 
     @property
     def schema_entries(self) -> int:
@@ -130,23 +126,9 @@ class PlanCache:
         while len(self._schemas) > self.config.max_schemas:
             self._schemas.popitem(last=False)
 
-    def get_signature(self, signature: tuple) -> CachedPlan | None:
-        """Front-line lookup by batch planning signature (exact match only)."""
-        if signature == self._signature:
-            return self._signature_plan
-        return None
-
-    def put_signature(self, signature: tuple, plan: CachedPlan) -> None:
-        self._signature = signature
-        self._signature_plan = plan
-
     def clear(self) -> int:
         """Drop everything; returns the number of entries discarded."""
         dropped = len(self._schemas) + len(self._memos)
-        if self._signature is not None:
-            dropped += 1
         self._schemas.clear()
         self._memos.clear()
-        self._signature = None
-        self._signature_plan = None
         return dropped

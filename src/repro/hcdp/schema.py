@@ -55,12 +55,6 @@ class Schema:
     expected_cost: float = 0.0
     memo_hits: int = 0
     memo_misses: int = 0
-    # Shared plan tuple the batch planner emitted this schema from; marks
-    # a step the run lane may continue. Identity metadata, not part of
-    # the schema's value.
-    _pieces_source: tuple | None = field(
-        default=None, repr=False, compare=False
-    )
 
     def __len__(self) -> int:
         return len(self.pieces)

@@ -12,57 +12,12 @@ would in the real system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from ..obs import Metric
 from ..tiers import StorageHierarchy
 
-__all__ = ["TierStatus", "SystemStatus", "SystemMonitor", "RawSample"]
-
-
-class RawSample(NamedTuple):
-    """One :meth:`SystemMonitor.sample_raw` snapshot as plain tuples.
-
-    Carries the same per-tier signals as a :class:`SystemStatus` without
-    constructing the frozen dataclasses — the batch planner's hot loop
-    only compares these tuples against the previous task's, and only
-    materialises :class:`TierStatus` objects on a signature miss.
-    ``remaining`` is raw (not zeroed for down tiers), exactly as
-    :class:`TierStatus` stores it; use :meth:`effective_remaining` for
-    the planner's view.
-    """
-
-    time: float
-    names: tuple[str, ...]
-    available: tuple[bool, ...]
-    loads: tuple[int, ...]
-    queued: tuple[int, ...]
-    remaining: tuple[int | None, ...]
-    used: tuple[int, ...]
-    signature: tuple
-
-    def effective_remaining(self) -> tuple[int | None, ...]:
-        """Per-tier remaining, zeroed when down (``TierStatus`` semantics)."""
-        return tuple(
-            0 if not avail else rem
-            for avail, rem in zip(self.available, self.remaining)
-        )
-
-    def to_status(self) -> SystemStatus:
-        """Materialise the equivalent :class:`SystemStatus` snapshot."""
-        tiers = tuple(
-            TierStatus(
-                name=self.names[i],
-                level=i,
-                available=self.available[i],
-                load=self.loads[i],
-                remaining=self.remaining[i],
-                used=self.used[i],
-                queued_bytes=self.queued[i],
-            )
-            for i in range(len(self.names))
-        )
-        return SystemStatus(time=self.time, tiers=tiers)
+__all__ = ["TierStatus", "SystemStatus", "SystemMonitor"]
 
 
 @dataclass(frozen=True)
@@ -119,6 +74,11 @@ class SystemStatus:
 
 class SystemMonitor:
     """Periodic sampler over a :class:`StorageHierarchy`.
+
+    :meth:`sample` is the one place planning reads tier state, through
+    the tiers' public properties; every consumer — the HCDP engine, the
+    QoS governor, the batch planner's run-lane ledger — works from the
+    :class:`SystemStatus` it returns.
 
     Args:
         hierarchy: The monitored tier stack.
@@ -199,8 +159,9 @@ class SystemMonitor:
         """
         return self._epoch
 
-    def _band(self, status: TierStatus) -> int:
-        """Quantized fill level of one tier (-1 for unbounded tiers)."""
+    def band(self, status: TierStatus) -> int:
+        """Quantized fill level of one tier (-1 for unbounded tiers): the
+        signal whose change bumps :attr:`state_epoch`."""
         if status.remaining is None:
             return -1
         capacity = status.used + status.remaining
@@ -224,80 +185,13 @@ class SystemMonitor:
             )
             for level, tier in enumerate(self._hierarchy)
         )
-        signature = tuple((t.available, self._band(t)) for t in tiers)
+        signature = tuple((t.available, self.band(t)) for t in tiers)
         if self._signature is not None and signature != self._signature:
             self._epoch += 1
         self._signature = signature
         self._cached = SystemStatus(time=now, tiers=tiers)
         self._samples += 1
         return self._cached
-
-    def sample_raw(self) -> RawSample:
-        """Fresh snapshot as plain tuples (the batch planner's fast path).
-
-        Side-effect-identical to a ``status()`` refresh at interval 0: it
-        consumes the same two clock reads (``status()`` takes one for the
-        staleness check before :meth:`sample` takes its own), counts one
-        sample, and applies the same signature/epoch update — so a run
-        that mixes raw and full sampling sees exactly the counters and
-        epochs a full-sampling run would. The cached snapshot is dropped
-        rather than rebuilt (callers are gated on ``interval == 0``,
-        where every ``status()`` resamples anyway).
-        """
-        self._clock()
-        now = self._clock()
-        names = []
-        available = []
-        loads = []
-        queued = []
-        remaining = []
-        used = []
-        signature = []
-        bands = self._capacity_bands
-        # Reads the tier ledger fields directly (this is the batch path's
-        # per-task cost floor; the property indirections of the full
-        # sampler are measurable at this call rate). Values are identical
-        # to Tier.available/remaining/used/queue_depth/queued_bytes.
-        for tier in self._hierarchy:
-            avail = tier._available
-            fill = tier._used
-            limit = tier._capacity_limit
-            capacity = tier.spec.capacity
-            if limit is not None and (capacity is None or limit < capacity):
-                capacity = limit
-            rem = None if capacity is None else capacity - fill
-            names.append(tier.spec.name)
-            available.append(avail)
-            loads.append(tier._queue_depth)
-            queued.append(tier._queued_bytes)
-            remaining.append(rem)
-            used.append(fill)
-            if rem is None:
-                band = -1
-            else:
-                capacity = fill + rem
-                if capacity <= 0:
-                    band = 0
-                else:
-                    fraction = min(max(fill / capacity, 0.0), 1.0)
-                    band = min(int(fraction * bands), bands - 1)
-            signature.append((avail, band))
-        sig = tuple(signature)
-        if self._signature is not None and sig != self._signature:
-            self._epoch += 1
-        self._signature = sig
-        self._cached = None
-        self._samples += 1
-        return RawSample(
-            time=now,
-            names=tuple(names),
-            available=tuple(available),
-            loads=tuple(loads),
-            queued=tuple(queued),
-            remaining=tuple(remaining),
-            used=tuple(used),
-            signature=sig,
-        )
 
     def restore_state(self, state_epoch: int, samples: int = 0) -> None:
         """Adopt a checkpointed epoch/sample count (crash recovery).

@@ -47,6 +47,13 @@ def test_observability_doc_names_real_metrics(check_docs) -> None:
     assert check_docs.check_metric_reference() == []
 
 
+def test_baselines_and_ci_jobs_named_in_docs_exist(check_docs) -> None:
+    """EXPERIMENTS.md's baseline table has one row per committed
+    ``BENCH_*.json``, and a "``<name>`` CI job" in README / EXPERIMENTS /
+    DESIGN / ``docs/`` is a job of the workflow."""
+    assert check_docs.check_baselines() == []
+
+
 def test_metric_reference_shorthand_is_expanded(check_docs) -> None:
     assert check_docs.documented_families(
         "`hcompress_a_{hits,misses}_total{kind}`, the hcompress_shi_* "

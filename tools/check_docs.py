@@ -27,6 +27,9 @@ The checks, each also importable for the pytest wrapper
   ``src/repro`` declares — passed to ``counter`` / ``gauge`` /
   ``histogram`` or listed in a ``Metric`` table row — and every family is
   declared exactly once.
+* **check_baselines** — every committed root ``BENCH_*.json`` has a row
+  in EXPERIMENTS.md's baseline table, and every "``<name>`` CI job" the
+  docs mention is a job of ``.github/workflows/ci.yml``.
 """
 
 from __future__ import annotations
@@ -235,6 +238,39 @@ def check_metric_reference() -> list[str]:
     ]
 
 
+_JOB_MENTION_RE = re.compile(r"`([a-z0-9-]+)`\s+(?:CI\s+)?job\b")
+_JOB_KEY_RE = re.compile(r"^  ([a-z0-9-]+):$", re.MULTILINE)
+
+
+def check_baselines() -> list[str]:
+    """EXPERIMENTS.md lists every committed ``BENCH_*.json``, and every CI
+    job the docs name exists in the workflow."""
+    rows = set(
+        re.findall(r"^\| `(BENCH_\w+\.json)` \|",
+                   (REPO / "EXPERIMENTS.md").read_text(), re.MULTILINE)
+    )
+    committed = {path.name for path in REPO.glob("BENCH_*.json")}
+    workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    jobs = set(_JOB_KEY_RE.findall(workflow.split("\njobs:\n", 1)[1]))
+    # ROADMAP / CHANGES / ISSUE are logs and may name retired jobs.
+    current = [
+        doc for doc in DOC_FILES
+        if doc.parent != REPO
+        or doc.name in ("README.md", "EXPERIMENTS.md", "DESIGN.md")
+    ]
+    return [
+        f"{name}: committed, no row in EXPERIMENTS.md's baseline table"
+        for name in sorted(committed - rows)
+    ] + [
+        f"{name}: a row in EXPERIMENTS.md's baseline table, no such file"
+        for name in sorted(rows - committed)
+    ] + [
+        f"{doc.relative_to(REPO)}: `{job}` job is not in ci.yml"
+        for doc in current
+        for job in sorted(set(_JOB_MENTION_RE.findall(doc.read_text())) - jobs)
+    ]
+
+
 def update_golden() -> None:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for sub in HELP_SUBCOMMANDS:
@@ -256,7 +292,7 @@ def main(argv=None) -> int:
     failures = 0
     for check in (
         check_links, check_snippets, check_cli_help, check_orphans,
-        check_metric_reference,
+        check_metric_reference, check_baselines,
     ):
         errors = check()
         status = "ok" if not errors else f"{len(errors)} problem(s)"
