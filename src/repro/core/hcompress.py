@@ -54,6 +54,7 @@ from ..recovery import (
     EngineSnapshot,
     Journal,
     read_snapshot,
+    replay_catalog,
     write_snapshot,
 )
 from ..scrub import Scrubber
@@ -1010,19 +1011,13 @@ class HCompress:
         return engine
 
     def _apply_restore(self, snapshot: EngineSnapshot) -> None:
-        self.manager.restore_catalog(snapshot.catalog)
+        replay = self.journal.recovered
+        catalog, suffix = replay_catalog(snapshot, replay.records)
+        self.manager.restore_catalog(catalog)
         # A compacted-to-empty journal file carries no LSN high-water mark;
         # re-seed it from the snapshot so post-restore records never reuse
         # LSNs the snapshot already covers (the next restore would skip them).
         self.journal.ensure_lsn_floor(snapshot.journal_lsn)
-        replay = self.journal.recovered
-        suffix = [
-            record
-            for record in replay.records
-            if record.lsn > snapshot.journal_lsn
-        ]
-        for record in suffix:
-            self.manager.apply_journal_record(record)
         if snapshot.ccp_theta:
             self.predictor.restore_state(
                 snapshot.ccp_theta,

@@ -1282,17 +1282,6 @@ class CompressionManager:
         }
 
     def apply_journal_record(self, record) -> None:
-        """Apply one replayed journal record to the catalog.
-
-        Idempotent by construction: records carry the full entry list (for
-        commits) or a whole-task delete (for evicts), so applying the same
-        record — or the same journal — twice leaves identical state.
-        """
-        if record.kind == "commit":
-            self._catalog[record.task_id] = [
-                CatalogEntry(*entry) for entry in record.entries
-            ]
-        elif record.kind == "evict":
-            self._catalog.pop(record.task_id, None)
-        else:  # pragma: no cover - Journal validates kinds on append
-            raise SchemaError(f"unknown journal record kind {record.kind!r}")
+        """Apply one replayed journal record to the live catalog
+        (idempotent: see :meth:`~repro.recovery.JournalRecord.apply`)."""
+        record.apply(self._catalog, lambda entry: CatalogEntry(*entry))

@@ -1,33 +1,40 @@
-"""Write-ahead journal of catalog mutations.
+"""The recovery directory: the one reader and writer of its files.
 
 The Compression Manager's placement catalog (task id -> 16-byte sub-task
 header tuples) is the state that makes acknowledged bytes readable; losing
-it to a crash makes every stored piece unreachable. The :class:`Journal`
-makes catalog mutations durable *before* they are acknowledged:
+it to a crash makes every stored piece unreachable. A recovery directory
+(``journal.wal`` + ``snapshot.json``) keeps it, and this module is the
+only code that knows what one looks like on disk — the engine, a standby,
+restore and fsck all go through it:
 
 * **Framing** — each record is one length-prefixed, CRC32-framed JSON
-  payload (``<u32 length><u32 crc32><payload>``). A frame is either wholly
-  valid or the journal is cut at that point.
-* **fsync-modeled batching** — :meth:`append` buffers records in memory;
-  :meth:`sync` writes every buffered frame, flushes, and ``os.fsync``\\ s
-  the descriptor. Records are durable only after a sync: a modeled crash
-  (abandoning the object) loses exactly the unsynced suffix, which is what
-  a real kernel would lose too. ``fsync_every`` batches syncs for
-  group-commit write patterns.
-* **Replay tolerance** — :func:`replay_journal` stops at the first torn or
-  corrupted frame and reports the byte offset of the last intact record,
-  so recovery after a mid-sync crash keeps every record that was fully
-  synced. :meth:`Journal.open` repairs (truncates) a torn tail in place.
+  payload (``<u32 length><u32 crc32><payload>``). :func:`scan_frames` is
+  the only parser: it stops at the first torn or corrupted frame and
+  reports the offset of the last intact one, so recovery after a mid-sync
+  crash keeps every record that was fully synced. :func:`replay_journal`
+  is a file read plus that scan; :func:`repair_tail` cuts the garbage off.
+* **fsync-modeled batching** — :meth:`Journal.append` buffers records in
+  memory; :meth:`Journal.sync` writes every buffered frame, flushes, and
+  ``os.fsync``\\ s the descriptor. Records are durable only after a sync:
+  a modeled crash (abandoning the object) loses exactly the unsynced
+  suffix, which is what a real kernel would lose too. ``fsync_every``
+  batches syncs for group-commit write patterns.
+* **Atomic replace** — :func:`atomic_write` is how a snapshot, a shard
+  manifest and a compacted journal reach their final names: a crash
+  leaves the old file or the new one, and the rename itself is durable.
 * **Idempotence** — records carry a monotone LSN and describe *state*, not
-  deltas: applying a record twice leaves the catalog byte-identical (see
-  :meth:`~repro.core.manager.CompressionManager.apply_journal_record`).
+  deltas: :meth:`JournalRecord.apply` is the only interpreter of a record
+  kind (applying a record twice leaves the catalog byte-identical) and
+  :func:`replay_catalog` the only "snapshot, then the suffix past its
+  LSN" fold.
 * **Shipping** — :meth:`Journal.add_observer` registers a synchronous
-  per-record hook fired on every :meth:`append`, *before* the write is
-  acknowledged. Replication rides this: a standby that persists each
-  observed frame holds a superset of the primary's durable state (the
+  per-record hook fired on every :meth:`Journal.append`, *before* the
+  write is acknowledged. Replication rides this: a standby
+  :meth:`Journal.persist`\\ s each observed frame into a journal of its
+  own, so it holds a superset of the primary's durable state (the
   primary's group-commit buffer is exactly what a crash loses locally).
-  :class:`JournalCursor` is the pull-side complement: a resumable
-  streaming reader over the on-disk frames for anti-entropy catch-up.
+  The pull side (anti-entropy) is :func:`replay_journal` over the
+  primary's file.
 """
 
 from __future__ import annotations
@@ -45,10 +52,14 @@ from ..obs import Metric
 __all__ = [
     "JOURNAL_NAME",
     "Journal",
-    "JournalCursor",
     "JournalRecord",
     "JournalReplay",
+    "atomic_write",
+    "parse_entry",
+    "repair_tail",
+    "replay_catalog",
     "replay_journal",
+    "scan_frames",
 ]
 
 #: Default journal file name inside a recovery directory.
@@ -64,6 +75,20 @@ _MAX_PAYLOAD = 16 * 1024 * 1024
 
 #: Record kinds the catalog understands.
 RECORD_KINDS = ("commit", "evict")
+
+
+def parse_entry(item) -> tuple:
+    """One catalog entry from its on-disk list form (journal or snapshot).
+
+    Accepts both the legacy 4-element ``[key, length, codec, crc]`` form
+    and the 5-element form carrying an end-to-end content digest
+    (``repro.scrub``), so files from either build read cleanly.
+    """
+    k, length, codec, crc = item[:4]
+    entry = (str(k), int(length), str(codec), None if crc is None else int(crc))
+    if len(item) > 4 and item[4] is not None:
+        entry += (int(item[4]),)
+    return entry
 
 
 @dataclass(frozen=True)
@@ -114,21 +139,11 @@ class JournalRecord:
     def from_payload(cls, payload: bytes) -> "JournalRecord":
         try:
             raw = json.loads(payload.decode("utf-8"))
-            entries = []
-            for item in raw.get("entries", ()):
-                k, length, codec, crc = item[:4]
-                entry = (
-                    str(k), int(length), str(codec),
-                    None if crc is None else int(crc),
-                )
-                if len(item) > 4 and item[4] is not None:
-                    entry += (int(item[4]),)
-                entries.append(entry)
             return cls(
                 lsn=int(raw["lsn"]),
                 kind=str(raw["kind"]),
                 task_id=str(raw["task"]),
-                entries=tuple(entries),
+                entries=tuple(map(parse_entry, raw.get("entries", ()))),
             )
         except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
             raise JournalCorruptError(
@@ -138,6 +153,20 @@ class JournalRecord:
     def frame(self) -> bytes:
         payload = self.to_payload()
         return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+
+    def apply(self, catalog: dict, entry=tuple) -> None:
+        """Fold this mutation into ``catalog`` (task id -> entry list).
+
+        The only interpreter of a record kind. Idempotent by construction:
+        a commit carries the task's full entry list and an evict is a
+        whole-task delete, so applying the same record — or the same
+        journal — twice leaves identical state. ``entry`` builds the
+        catalog's entry type from one record tuple.
+        """
+        if self.kind == "commit":
+            catalog[self.task_id] = [entry(item) for item in self.entries]
+        else:
+            catalog.pop(self.task_id, None)
 
 
 @dataclass
@@ -162,57 +191,119 @@ class JournalReplay:
         return self.records[-1].lsn if self.records else 0
 
 
-def replay_journal(path: str | Path) -> JournalReplay:
-    """Scan a journal file, tolerating a torn or corrupted tail.
+def scan_frames(blob: bytes) -> tuple[list[JournalRecord], int, str | None]:
+    """Parse journal frames from the start of ``blob``.
 
-    The scan walks frames from the start and stops at the first problem —
-    a truncated frame header, a payload shorter than its length prefix, a
-    CRC mismatch, or an undecodable payload. Everything before the bad
-    frame is returned; everything at and after it is reported via
-    ``truncated``/``reason`` and should be cut with :meth:`Journal.open`
-    (or ignored). A missing file replays to an empty journal.
+    Returns ``(records, end, reason)``: every intact record in order, the
+    offset just past the last intact frame, and why the scan stopped
+    short of ``len(blob)`` (``None`` when it did not) — a truncated frame
+    header, a payload shorter than its length prefix, a CRC mismatch, or
+    an undecodable payload. Everything from ``end`` on is garbage.
     """
-    path = Path(path)
-    result = JournalReplay()
-    try:
-        blob = path.read_bytes()
-    except FileNotFoundError:
-        return result
+    records: list[JournalRecord] = []
     offset = 0
     while offset < len(blob):
-        header = blob[offset : offset + FRAME_HEADER_SIZE]
-        if len(header) < FRAME_HEADER_SIZE:
-            result.truncated = True
-            result.reason = f"torn frame header at offset {offset}"
-            break
-        length, crc = _FRAME.unpack(header)
+        start = offset + FRAME_HEADER_SIZE
+        if start > len(blob):
+            return records, offset, f"torn frame header at offset {offset}"
+        length, crc = _FRAME.unpack_from(blob, offset)
         if length > _MAX_PAYLOAD:
-            result.truncated = True
-            result.reason = (
+            return records, offset, (
                 f"frame at offset {offset} claims {length} bytes "
                 f"(> {_MAX_PAYLOAD} cap); treating as corruption"
             )
-            break
-        start = offset + FRAME_HEADER_SIZE
         payload = blob[start : start + length]
         if len(payload) < length:
-            result.truncated = True
-            result.reason = f"torn payload at offset {offset}"
-            break
+            return records, offset, f"torn payload at offset {offset}"
         if zlib.crc32(payload) != crc:
-            result.truncated = True
-            result.reason = f"CRC mismatch at offset {offset}"
-            break
+            return records, offset, f"CRC mismatch at offset {offset}"
         try:
-            record = JournalRecord.from_payload(payload)
+            records.append(JournalRecord.from_payload(payload))
         except JournalCorruptError as exc:
-            result.truncated = True
-            result.reason = f"undecodable record at offset {offset}: {exc}"
-            break
-        result.records.append(record)
+            return records, offset, (
+                f"undecodable record at offset {offset}: {exc}"
+            )
         offset = start + length
-        result.valid_bytes = offset
-    return result
+    return records, offset, None
+
+
+def replay_journal(path: str | Path) -> JournalReplay:
+    """Scan a journal file, tolerating a torn or corrupted tail.
+
+    Everything before the first bad frame is returned; everything at and
+    after it is reported via ``truncated``/``reason`` and should be cut
+    with :func:`repair_tail` (or ignored). A missing file replays to an
+    empty journal.
+    """
+    try:
+        blob = Path(path).read_bytes()
+    except FileNotFoundError:
+        return JournalReplay()
+    records, end, reason = scan_frames(blob)
+    return JournalReplay(records, end, reason is not None, reason)
+
+
+def repair_tail(path: str | Path, replay: JournalReplay, fsync: bool) -> None:
+    """Cut a torn tail off a journal file in place (durably).
+
+    Appends must extend the last intact record instead of burying garbage
+    mid-file, where it would truncate every later replay.
+    """
+    if replay.truncated:
+        with open(path, "r+b") as handle:
+            handle.truncate(replay.valid_bytes)
+            handle.flush()
+            if fsync:
+                os.fsync(handle.fileno())
+
+
+def atomic_write(path: str | Path, blob: bytes, fsync: bool) -> Path:
+    """Replace ``path`` with ``blob`` atomically; returns ``path``.
+
+    tmp-write + flush + fsync + ``os.replace`` + directory fsync (where
+    the platform has directory descriptors): readers see the old file or
+    the new one, never a partial one, and once this returns the rename
+    itself survives a crash. ``fsync=False`` keeps the rename atomic and
+    skips both syncs (the test/bench knob of :class:`Journal`).
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as handle:
+        handle.write(blob)
+        handle.flush()
+        if fsync:
+            os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    if fsync:
+        try:
+            dir_fd = os.open(path.parent, os.O_RDONLY)
+        except OSError:
+            return path  # platform without directory fds
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    return path
+
+
+def replay_catalog(snapshot, records) -> tuple[dict[str, list], list]:
+    """Fold ``snapshot`` (or ``None``), then the records past its LSN.
+
+    Returns ``(catalog, suffix)``: the catalog as plain entry tuples and
+    the records that were applied on top of the snapshot — the one
+    definition of what a recovery directory *means*, shared by restore,
+    a promoted standby and fsck.
+    """
+    floor = 0
+    catalog: dict[str, list] = {}
+    if snapshot is not None:
+        floor = snapshot.journal_lsn
+        catalog = {task: list(es) for task, es in snapshot.catalog.items()}
+    suffix = [record for record in records if record.lsn > floor]
+    for record in suffix:
+        record.apply(catalog)
+    return catalog, suffix
 
 
 class Journal:
@@ -270,14 +361,7 @@ class Journal:
         self.crashpoints = crashpoints
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.recovered = replay_journal(self.path)
-        if self.recovered.truncated:
-            # Repair in place: cut the torn tail so appends extend the
-            # last intact record instead of burying garbage mid-file.
-            with open(self.path, "r+b") as handle:
-                handle.truncate(self.recovered.valid_bytes)
-                handle.flush()
-                if self.fsync:
-                    os.fsync(handle.fileno())
+        repair_tail(self.path, self.recovered, self.fsync)
         self._file = open(self.path, "ab")
         self._buffer: list[bytes] = []
         self._next_lsn = self.recovered.last_lsn + 1
@@ -291,8 +375,9 @@ class Journal:
     # -- shipping ------------------------------------------------------------
 
     def add_observer(self, callback) -> None:
-        """Register a synchronous per-record hook: ``callback(record)``
-        fires on every :meth:`append`, before the mutation is acked.
+        """Register a synchronous per-record hook: ``callback(record,
+        frame)`` fires on every :meth:`append` with the record and its
+        wire frame (encoded once, here), before the mutation is acked.
 
         Every appended record *is* an acknowledged catalog mutation
         (failed writes roll back before journaling), so an observer that
@@ -347,13 +432,23 @@ class Journal:
         """Buffer one record (not yet durable); returns it with its LSN."""
         self._check_open()
         record = JournalRecord(self._next_lsn, kind, task_id, entries)
-        self._buffer.append(record.frame())
+        frame = record.frame()
+        self._buffer.append(frame)
         self._next_lsn += 1
         self.records_appended += 1
         if self._observers:
             for callback in self._observers:
-                callback(record)
+                callback(record, frame)
         return record
+
+    def persist(self, record: JournalRecord, frame: bytes) -> None:
+        """Make one shipped record durable, verbatim: ``frame`` is
+        written as it arrived (same bytes and LSN as at the primary) and
+        synced at once — a standby's journal never buffers."""
+        self._check_open()
+        self._write(frame)
+        self._next_lsn = record.lsn + 1
+        self._durable_lsn = record.lsn
 
     def commit(
         self,
@@ -379,26 +474,26 @@ class Journal:
             "journal.torn_sync"
         ):
             # Model a crash mid-write: half a frame reaches the platter.
-            torn = data[: max(len(data) // 2, 1)]
-            self._file.write(torn)
-            self._file.flush()
-            if self.fsync:
-                os.fsync(self._file.fileno())
+            self._write(data[: max(len(data) // 2, 1)])
             self._buffer.clear()
             self.crashpoints.die("journal.torn_sync")
+        self._write(data)
+        self._durable_lsn = self._next_lsn - 1
+        self._buffer.clear()
+
+    def _write(self, data: bytes) -> None:
+        """The one durable write: the bytes, a flush, an fsync."""
         self._file.write(data)
         self._file.flush()
         if self.fsync:
             os.fsync(self._file.fileno())
         self.bytes_synced += len(data)
         self.syncs += 1
-        self._durable_lsn = self._next_lsn - 1
-        self._buffer.clear()
 
     def compact(self, keep_after_lsn: int) -> int:
         """Drop records with ``lsn <= keep_after_lsn`` (they are covered by
-        a snapshot); returns how many records remain. Atomic: the surviving
-        suffix is rewritten to a temp file and renamed over the journal.
+        a snapshot); returns how many records remain. The surviving suffix
+        replaces the file through :func:`atomic_write`.
         """
         self._check_open()
         self.sync()
@@ -406,15 +501,10 @@ class Journal:
             r for r in replay_journal(self.path).records
             if r.lsn > keep_after_lsn
         ]
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with open(tmp, "wb") as handle:
-            for record in survivors:
-                handle.write(record.frame())
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
         self._file.close()
-        os.replace(tmp, self.path)
+        atomic_write(
+            self.path, b"".join(r.frame() for r in survivors), self.fsync
+        )
         self._file = open(self.path, "ab")
         return len(survivors)
 
@@ -429,109 +519,3 @@ class Journal:
     def _check_open(self) -> None:
         if self._closed:
             raise RecoveryError(f"journal {self.path} is closed")
-
-
-class JournalCursor:
-    """Resumable streaming reader over a journal file's durable frames.
-
-    Tracks ``(lsn, byte offset)`` across calls so each
-    :meth:`read_new` returns only records not yet seen — the pull side
-    of anti-entropy: a lagging standby replays the primary's tail from
-    its own last-applied LSN. Only what the file holds is visible
-    (synced frames; the primary's group-commit buffer is not), which is
-    exactly the durable-state contract replay obeys.
-
-    Robust against the two ways the file changes underneath a reader:
-
-    * **Torn tail** — a partially-synced frame at the end stops the scan
-      *without* advancing past it; the next call re-reads from the same
-      offset and picks the frame up once it is whole.
-    * **Compaction / floor re-seed** — :meth:`Journal.compact` rewrites
-      the file and :meth:`Journal.ensure_lsn_floor` makes LSNs jump, so
-      a remembered offset can point mid-frame or at an already-consumed
-      record. The cursor validates the frame at its offset and falls
-      back to a full rescan filtered by ``lsn > self.lsn`` whenever the
-      offset stops making sense. LSNs are monotone within a file, so the
-      filter is exact.
-
-    Args:
-        path: The journal file to follow (may not exist yet).
-        after_lsn: Resume point — records with ``lsn <= after_lsn`` are
-            never returned (a standby passes its last-applied LSN).
-    """
-
-    def __init__(self, path: str | Path, after_lsn: int = 0) -> None:
-        self.path = Path(path)
-        self.lsn = after_lsn
-        self.offset = 0
-        self._offset_valid = after_lsn == 0
-
-    def read_new(self) -> list[JournalRecord]:
-        """Every not-yet-seen intact record, in LSN order.
-
-        Returns an empty list when the file is missing, unchanged, or
-        ends in a torn frame right at the cursor. Advances the cursor
-        past everything returned.
-        """
-        try:
-            blob = self.path.read_bytes()
-        except FileNotFoundError:
-            return []
-        if not self._offset_valid or self.offset > len(blob):
-            return self._rescan(blob)
-        records, end, ok = self._scan(blob, self.offset)
-        if not ok:
-            return self._rescan(blob)
-        out = [r for r in records if r.lsn > self.lsn]
-        if len(out) != len(records):
-            # Frames at the offset replay below our LSN: the file was
-            # rewritten (compaction overlap); trust LSNs, not offsets.
-            return self._rescan(blob)
-        self.offset = end
-        if out:
-            self.lsn = out[-1].lsn
-        return out
-
-    def _rescan(self, blob: bytes) -> list[JournalRecord]:
-        records, end, _ = self._scan(blob, 0)
-        out = [r for r in records if r.lsn > self.lsn]
-        self.offset = end
-        self._offset_valid = True
-        if out:
-            self.lsn = out[-1].lsn
-        return out
-
-    @staticmethod
-    def _scan(blob: bytes, start: int) -> tuple[list[JournalRecord], int, bool]:
-        """Parse frames from ``start``; returns ``(records, end, ok)``.
-
-        ``ok`` is False when ``start`` does not sit on a frame boundary
-        (a mid-file parse failure — corruption or a stale offset);
-        a clean stop at a *tail* problem (torn frame at EOF region)
-        keeps ``ok`` True with ``end`` just before the torn frame.
-        """
-        records: list[JournalRecord] = []
-        offset = start
-        while offset < len(blob):
-            header = blob[offset : offset + FRAME_HEADER_SIZE]
-            if len(header) < FRAME_HEADER_SIZE:
-                return records, offset, True  # torn header at the tail
-            length, crc = _FRAME.unpack(header)
-            if length > _MAX_PAYLOAD:
-                return records, offset, offset + FRAME_HEADER_SIZE >= len(blob)
-            payload = blob[offset + FRAME_HEADER_SIZE : offset + FRAME_HEADER_SIZE + length]
-            if len(payload) < length:
-                return records, offset, True  # torn payload at the tail
-            if zlib.crc32(payload) != crc:
-                # Tail frames may be torn mid-sync; anything earlier means
-                # the offset was stale or the file was rewritten.
-                return records, offset, offset + FRAME_HEADER_SIZE + length >= len(blob)
-            try:
-                record = JournalRecord.from_payload(payload)
-            except JournalCorruptError:
-                return records, offset, False
-            if records and record.lsn <= records[-1].lsn:
-                return records, offset, False  # LSNs must be monotone
-            records.append(record)
-            offset += FRAME_HEADER_SIZE + length
-        return records, offset, True

@@ -8,20 +8,20 @@ ledger as the engine last saw it (for drift reporting at restore). The
 journal LSN the snapshot covers is recorded so restore replays exactly
 the suffix written after the checkpoint.
 
-Atomicity is the standard tmp-write + ``os.replace`` dance: a crash
-during checkpointing leaves either the previous snapshot or the new one,
-never a torn file. The payload is JSON with a version field; unknown
-versions are rejected rather than misread.
+The file is replaced through :func:`~repro.recovery.journal.atomic_write`:
+a crash during checkpointing leaves either the previous snapshot or the
+new one, never a torn file. The payload is JSON with a version field;
+unknown versions are rejected rather than misread.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import RecoveryError
+from .journal import atomic_write, parse_entry
 
 __all__ = ["SNAPSHOT_NAME", "EngineSnapshot", "read_snapshot", "write_snapshot"]
 
@@ -30,20 +30,6 @@ SNAPSHOT_NAME = "snapshot.json"
 
 #: Current on-disk format version.
 SNAPSHOT_VERSION = 1
-
-
-def _parse_entry(item) -> tuple:
-    """One catalog entry from its on-disk list form.
-
-    Accepts both the legacy 4-element ``[key, length, codec, crc]`` form
-    and the 5-element form carrying an end-to-end content digest
-    (``repro.scrub``), so snapshots from either build read cleanly.
-    """
-    k, length, codec, crc = item[:4]
-    entry = (str(k), int(length), str(codec), None if crc is None else int(crc))
-    if len(item) > 4 and item[4] is not None:
-        entry += (int(item[4]),)
-    return entry
 
 
 @dataclass(frozen=True)
@@ -135,7 +121,7 @@ class EngineSnapshot:
             return cls(
                 journal_lsn=int(raw["journal_lsn"]),
                 catalog={
-                    str(task): [_parse_entry(entry) for entry in entries]
+                    str(task): [parse_entry(entry) for entry in entries]
                     for task, entries in raw["catalog"].items()
                 },
                 file_manifests={
@@ -169,34 +155,9 @@ class EngineSnapshot:
 def write_snapshot(
     directory: str | Path, snapshot: EngineSnapshot, fsync: bool = True
 ) -> Path:
-    """Atomically persist a snapshot into ``directory``; returns its path.
-
-    tmp-write + flush + fsync + ``os.replace`` (+ directory fsync where
-    the platform supports it): readers see the old snapshot or the new
-    one, never a partial file.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / SNAPSHOT_NAME
-    tmp = directory / (SNAPSHOT_NAME + ".tmp")
+    """Atomically persist a snapshot into ``directory``; returns its path."""
     blob = json.dumps(snapshot.to_dict(), separators=(",", ":")).encode("utf-8")
-    with open(tmp, "wb") as handle:
-        handle.write(blob)
-        handle.flush()
-        if fsync:
-            os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    if fsync:
-        try:
-            dir_fd = os.open(directory, os.O_RDONLY)
-        except OSError:
-            pass  # platform without directory fds
-        else:
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-    return path
+    return atomic_write(Path(directory) / SNAPSHOT_NAME, blob, fsync)
 
 
 def read_snapshot(directory: str | Path) -> EngineSnapshot:

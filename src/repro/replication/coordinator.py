@@ -11,9 +11,9 @@ and the two data flows that keep them promotable:
 * **Checkpoint shipping + anti-entropy** — :meth:`ship_checkpoint`
   installs the primary's fresh snapshot on each standby;
   :meth:`catch_up` brings a fresh or lagging standby current by
-  installing the latest snapshot and replaying the primary's journal
-  tail from the standby's last-applied LSN through a
-  :class:`~repro.recovery.journal.JournalCursor`.
+  installing the latest snapshot and offering it every record of the
+  primary's journal file (:func:`~repro.recovery.journal.replay_journal`);
+  :meth:`StandbyReplica.apply` drops what the standby already holds.
 
 The coordinator never touches routing or engines — promotion lives on
 the router, which asks :meth:`promotion_candidate` for the most-caught-
@@ -27,7 +27,7 @@ from pathlib import Path
 
 from ..errors import ShardError
 from ..obs import Metric
-from ..recovery import JOURNAL_NAME, JournalCursor
+from ..recovery import JOURNAL_NAME, SNAPSHOT_NAME, replay_journal
 from .config import ReplicationConfig, replica_dirname
 from .standby import StandbyReplica
 
@@ -126,13 +126,13 @@ class ReplicationCoordinator:
         self.detach(shard_id)
         self.primary_lsn[shard_id] = journal.last_lsn
 
-        def ship(record, _shard_id=shard_id):
+        def ship(record, frame, _shard_id=shard_id):
             self.primary_lsn[_shard_id] = record.lsn
-            # Encode the wire frame once per record; each standby verifies
-            # it (CRC + decode + LSN) before persisting — a frame corrupted
-            # in shipping is rejected and re-fetched by catch_up, never
-            # buried in a standby journal where it would truncate replay.
-            frame = record.frame()
+            # ``frame`` is the wire form the journal just buffered; each
+            # standby verifies it (CRC + decode + LSN) before persisting —
+            # a frame corrupted in shipping is rejected and re-fetched by
+            # catch_up, never buried in a standby journal where it would
+            # truncate replay.
             for replica in self.standbys[_shard_id]:
                 if replica.apply(record, frame):
                     self.shipped_records[_shard_id] += 1
@@ -160,22 +160,20 @@ class ReplicationCoordinator:
     def catch_up(self, shard_id: int, primary_directory: Path) -> int:
         """Anti-entropy: bring every standby of one shard current.
 
-        Installs the primary's snapshot (when one exists) and replays
-        the primary's journal tail from each standby's last-applied LSN.
-        Returns the number of tail records applied across standbys.
-        Safe while synchronous shipping is live: applies are idempotent
-        by LSN, so the overlap between the cursor read and the stream
+        Installs the primary's snapshot (when one exists) and offers
+        each standby every intact record of the primary's journal file.
+        Returns the number of records applied across standbys. Applies
+        are idempotent by LSN, so a standby takes only the tail past its
+        last-applied LSN and the overlap with live synchronous shipping
         deduplicates.
         """
         primary_directory = Path(primary_directory)
+        records = replay_journal(primary_directory / JOURNAL_NAME).records
         applied = 0
         for replica in self.standbys[shard_id]:
-            if (primary_directory / "snapshot.json").exists():
+            if (primary_directory / SNAPSHOT_NAME).exists():
                 replica.install_snapshot(primary_directory)
-            cursor = JournalCursor(
-                primary_directory / JOURNAL_NAME, after_lsn=replica.applied_lsn
-            )
-            for record in cursor.read_new():
+            for record in records:
                 if replica.apply(record):
                     applied += 1
         self.catch_ups[shard_id] += 1

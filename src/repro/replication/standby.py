@@ -9,22 +9,27 @@ Promotion is then nothing new: :meth:`HCompress.restore` over the
 standby directory, the same code path every crash-recovery test already
 proves.
 
-Frames are persisted verbatim — same bytes, same LSNs — so the standby
-journal is interchangeable with the primary's and
-:func:`~repro.recovery.journal.replay_journal` /
-:class:`~repro.recovery.journal.JournalCursor` work on it unchanged.
+Frames are persisted verbatim — same bytes, same LSNs — by the same
+:class:`~repro.recovery.journal.Journal` class the primary writes with
+(torn-tail repair at open, :meth:`~repro.recovery.journal.Journal.persist`
+per shipped frame, ``compact`` under an installed snapshot), so the
+standby's directory is interchangeable with the primary's.
 """
 
 from __future__ import annotations
 
-import os
-import struct
-import zlib
 from pathlib import Path
 
-from ..errors import JournalCorruptError, RecoveryError
-from ..recovery import JOURNAL_NAME, SNAPSHOT_NAME, replay_journal
-from ..recovery.journal import FRAME_HEADER_SIZE, JournalRecord
+from ..errors import RecoveryError
+from ..recovery import (
+    JOURNAL_NAME,
+    SNAPSHOT_NAME,
+    Journal,
+    JournalRecord,
+    atomic_write,
+    read_snapshot,
+    scan_frames,
+)
 
 __all__ = ["StandbyReplica"]
 
@@ -55,37 +60,22 @@ class StandbyReplica:
         self.replica_id = replica_id
         self.directory = Path(directory)
         self.fsync = fsync
-        self.directory.mkdir(parents=True, exist_ok=True)
+        #: The shipped journal (opening it repairs a torn tail in place).
+        self.journal = Journal(self.journal_path, fsync=fsync)
         self.snapshot_lsn = self._read_snapshot_lsn()
-        replay = replay_journal(self.journal_path)
-        if replay.truncated:
-            # Same torn-tail repair discipline as Journal.open: cut the
-            # partial frame so shipped appends extend intact state.
-            with open(self.journal_path, "r+b") as handle:
-                handle.truncate(replay.valid_bytes)
-                handle.flush()
-                if self.fsync:
-                    os.fsync(handle.fileno())
         #: Newest LSN this standby holds durably (snapshot or journal).
-        self.applied_lsn = max(self.snapshot_lsn, replay.last_lsn)
+        self.applied_lsn = max(self.snapshot_lsn, self.journal.last_lsn)
         self.records_applied = 0
         #: Shipped frames rejected for failing CRC/format verification.
         self.frames_rejected = 0
-        self._file = open(self.journal_path, "ab")
         self._closed = False
 
     @property
     def journal_path(self) -> Path:
         return self.directory / JOURNAL_NAME
 
-    @property
-    def snapshot_path(self) -> Path:
-        return self.directory / SNAPSHOT_NAME
-
     def _read_snapshot_lsn(self) -> int:
         try:
-            from ..recovery import read_snapshot
-
             return read_snapshot(self.directory).journal_lsn
         except RecoveryError:
             return 0
@@ -120,69 +110,34 @@ class StandbyReplica:
         elif not self._frame_valid(record, frame):
             self.frames_rejected += 1
             return False
-        self._file.write(frame)
-        self._file.flush()
-        if self.fsync:
-            os.fsync(self._file.fileno())
+        self.journal.persist(record, frame)
         self.applied_lsn = record.lsn
         self.records_applied += 1
         return True
 
     @staticmethod
     def _frame_valid(record: JournalRecord, frame: bytes) -> bool:
-        """Whether a shipped wire frame is intact and matches ``record``."""
-        if len(frame) < FRAME_HEADER_SIZE:
-            return False
-        length, crc = struct.unpack_from("<II", frame)
-        payload = frame[FRAME_HEADER_SIZE:]
-        if len(payload) != length or zlib.crc32(payload) != crc:
-            return False
-        try:
-            decoded = JournalRecord.from_payload(payload)
-        except JournalCorruptError:
-            return False
-        return decoded.lsn == record.lsn
+        """Whether a shipped wire frame is intact and matches ``record``:
+        it scans to exactly one record, with that LSN, and no remainder."""
+        records, end, _ = scan_frames(frame)
+        return end == len(frame) and [r.lsn for r in records] == [record.lsn]
 
     def install_snapshot(self, source_directory: str | Path) -> int:
         """Adopt the primary's checkpoint; returns its journal LSN.
 
-        Copies ``snapshot.json`` atomically (tmp + flush + fsync +
-        rename), then compacts the standby journal down to the suffix
-        the snapshot does not cover — mirroring what the primary's own
-        checkpoint did to its journal, so standby and primary stay
-        structurally interchangeable.
+        Copies ``snapshot.json`` through
+        :func:`~repro.recovery.journal.atomic_write`, then compacts the
+        standby journal down to the suffix the snapshot does not cover —
+        mirroring what the primary's own checkpoint did to its journal,
+        so standby and primary stay structurally interchangeable.
         """
         self._check_open()
         blob = (Path(source_directory) / SNAPSHOT_NAME).read_bytes()
-        tmp = self.directory / (SNAPSHOT_NAME + ".tmp")
-        with open(tmp, "wb") as handle:
-            handle.write(blob)
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-        os.replace(tmp, self.snapshot_path)
+        atomic_write(self.directory / SNAPSHOT_NAME, blob, self.fsync)
         self.snapshot_lsn = self._read_snapshot_lsn()
-        self._compact(self.snapshot_lsn)
-        if self.snapshot_lsn > self.applied_lsn:
-            self.applied_lsn = self.snapshot_lsn
+        self.journal.compact(self.snapshot_lsn)
+        self.applied_lsn = max(self.applied_lsn, self.snapshot_lsn)
         return self.snapshot_lsn
-
-    def _compact(self, keep_after_lsn: int) -> None:
-        survivors = [
-            r
-            for r in replay_journal(self.journal_path).records
-            if r.lsn > keep_after_lsn
-        ]
-        tmp = self.journal_path.with_suffix(self.journal_path.suffix + ".tmp")
-        with open(tmp, "wb") as handle:
-            for record in survivors:
-                handle.write(record.frame())
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-        self._file.close()
-        os.replace(tmp, self.journal_path)
-        self._file = open(self.journal_path, "ab")
 
     def lag(self, primary_lsn: int) -> int:
         """Records the primary has acked that this standby has not."""
@@ -191,9 +146,7 @@ class StandbyReplica:
     def close(self) -> None:
         """Release the journal descriptor (idempotent); state stays on
         disk — exactly what promotion restores from."""
-        if self._closed:
-            return
-        self._file.close()
+        self.journal.close()
         self._closed = True
 
     def _check_open(self) -> None:

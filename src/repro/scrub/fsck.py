@@ -8,10 +8,12 @@ durable artifact against the others:
 * **snapshot ↔ journal** — both parse, LSNs are monotone, the journal
   suffix continues exactly where the snapshot's ``journal_lsn`` left off
   (a gap means lost mutations), and a torn tail is reported (and cut
-  back with ``--repair``, the same truncation ``Journal.open`` performs).
-* **catalog** — reconstructed snapshot-then-suffix, the way restore
-  replays it; a piece key claimed by two tasks is corruption no replay
-  can hide.
+  back with ``--repair``: the same durable
+  :func:`~repro.recovery.journal.repair_tail` opening a ``Journal``
+  performs).
+* **catalog** — reconstructed by the
+  :func:`~repro.recovery.journal.replay_catalog` restore itself runs; a
+  piece key claimed by two tasks is corruption no replay can hide.
 * **shard manifest ↔ shard/replica directories** (sharded roots) — the
   manifest parses, every directory it names exists, and each shard's and
   standby replica's recovery directory passes the single-store checks.
@@ -38,7 +40,12 @@ from pathlib import Path
 from ..codecs.metadata import unwrap_payload
 from ..errors import CodecError, RecoveryError, SchemaError, TierError
 from ..hashing import content_hash64
-from ..recovery.journal import JOURNAL_NAME, replay_journal
+from ..recovery.journal import (
+    JOURNAL_NAME,
+    repair_tail,
+    replay_catalog,
+    replay_journal,
+)
 from ..recovery.snapshot import SNAPSHOT_NAME, read_snapshot
 
 __all__ = [
@@ -247,8 +254,7 @@ def _fsck_recovery_dir(
     replay = replay_journal(journal_path)
     if replay.truncated:
         if repair:
-            with open(journal_path, "r+b") as handle:
-                handle.truncate(replay.valid_bytes)
+            repair_tail(journal_path, replay, fsync=True)
         report.add(
             "journal.tail", "warning",
             f"torn tail ({replay.reason}); "
@@ -266,7 +272,7 @@ def _fsck_recovery_dir(
         last_lsn = record.lsn
 
     snapshot_lsn = snapshot.journal_lsn if snapshot is not None else 0
-    suffix = [r for r in replay.records if r.lsn > snapshot_lsn]
+    catalog, suffix = replay_catalog(snapshot, replay.records)
     if suffix and suffix[0].lsn > snapshot_lsn + 1:
         report.add(
             "journal.gap", "error",
@@ -275,17 +281,6 @@ def _fsck_recovery_dir(
             f"{snapshot_lsn + 1}..{suffix[0].lsn - 1} are lost",
         )
 
-    # Reconstruct the catalog exactly the way restore replays it.
-    catalog: dict[str, list] = (
-        {task: list(entries) for task, entries in snapshot.catalog.items()}
-        if snapshot is not None
-        else {}
-    )
-    for record in suffix:
-        if record.kind == "commit":
-            catalog[record.task_id] = list(record.entries)
-        elif record.kind == "evict":
-            catalog.pop(record.task_id, None)
     report.tasks += len(catalog)
     owners: dict[str, str] = {}
     for task_id, entries in catalog.items():

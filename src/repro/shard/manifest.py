@@ -9,8 +9,8 @@ reads the manifest first — it is the authority on how many shards exist
 and where their recovery state lives; a missing or malformed manifest
 is a :class:`~repro.errors.ShardManifestError`.
 
-Writes use the same atomicity discipline as engine snapshots
-(tmp-write + flush + fsync + ``os.replace`` + directory fsync): a crash
+Writes go through the same
+:func:`~repro.recovery.journal.atomic_write` as engine snapshots: a crash
 mid-write leaves the previous manifest or the new one, never a torn
 file. Stale-version protection is the reader's job: the version only
 moves forward, so a manifest read back with a smaller version than one
@@ -20,11 +20,11 @@ previously observed signals split-brain and is rejected.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import ShardManifestError
+from ..recovery.journal import atomic_write
 from .config import shard_dirname
 
 __all__ = ["MANIFEST_NAME", "ShardManifest", "read_manifest", "write_manifest"]
@@ -177,28 +177,8 @@ def write_manifest(
     directory: str | Path, manifest: ShardManifest, fsync: bool = True
 ) -> Path:
     """Atomically persist the manifest into ``directory``; returns its path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / MANIFEST_NAME
-    tmp = directory / (MANIFEST_NAME + ".tmp")
     blob = json.dumps(manifest.to_dict(), separators=(",", ":")).encode("utf-8")
-    with open(tmp, "wb") as handle:
-        handle.write(blob)
-        handle.flush()
-        if fsync:
-            os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    if fsync:
-        try:
-            dir_fd = os.open(directory, os.O_RDONLY)
-        except OSError:
-            pass  # platform without directory fds
-        else:
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-    return path
+    return atomic_write(Path(directory) / MANIFEST_NAME, blob, fsync)
 
 
 def read_manifest(

@@ -10,7 +10,6 @@ import pytest
 from repro.errors import JournalCorruptError, RecoveryError
 from repro.recovery import (
     Journal,
-    JournalCursor,
     JournalRecord,
     replay_journal,
 )
@@ -199,84 +198,6 @@ class TestCompaction:
         reopened.ensure_lsn_floor(1)  # lowering is a no-op
         assert reopened.commit("commit", "t2", ENTRIES).lsn == 3
         reopened.close()
-
-
-class TestCursor:
-    """JournalCursor edge cases at the WAL-shipping boundary: torn tails
-    mid-ship, LSN floors after a standby restore, and empty tails."""
-
-    def test_read_new_streams_only_unseen_records(self, wal) -> None:
-        journal = Journal(wal, fsync=False)
-        journal.commit("commit", "t0", ENTRIES)
-        journal.commit("commit", "t1", ENTRIES)
-        cursor = JournalCursor(wal)
-        assert [r.lsn for r in cursor.read_new()] == [1, 2]
-        assert cursor.read_new() == []  # unchanged file: nothing new
-        journal.commit("evict", "t0")
-        assert [r.lsn for r in cursor.read_new()] == [3]
-        journal.close()
-
-    def test_torn_tail_at_ship_boundary_heals_without_skipping(
-        self, wal
-    ) -> None:
-        """A frame torn exactly where the cursor stopped must not be
-        skipped: the next read re-reads from the same offset and picks
-        the record up once the frame is whole."""
-        journal = Journal(wal, fsync=False)
-        journal.commit("commit", "t0", ENTRIES)
-        cursor = JournalCursor(wal)
-        assert [r.lsn for r in cursor.read_new()] == [1]
-        # Half a frame lands past the cursor (a crash mid-sync).
-        frame = JournalRecord(2, "commit", "t1", ENTRIES).frame()
-        intact = wal.read_bytes()
-        wal.write_bytes(intact + frame[: len(frame) // 2])
-        assert cursor.read_new() == []  # torn: stop, do not advance
-        wal.write_bytes(intact + frame)  # the sync completes
-        assert [r.lsn for r in cursor.read_new()] == [2]
-        journal.close()
-
-    def test_after_lsn_floor_skips_snapshot_covered_records(
-        self, wal
-    ) -> None:
-        """A standby restored from a snapshot at LSN n passes
-        ``after_lsn=n``: the cursor must replay only the tail past it,
-        no matter where those frames sit in the file."""
-        journal = Journal(wal, fsync=False)
-        for i in range(4):
-            journal.commit("commit", f"t{i}", ENTRIES)
-        cursor = JournalCursor(wal, after_lsn=2)
-        assert [r.lsn for r in cursor.read_new()] == [3, 4]
-        journal.close()
-
-    def test_floor_beyond_file_reads_empty_tail(self, wal) -> None:
-        # The snapshot covers more than the (compacted) file holds: the
-        # tail replay is legitimately empty, not an error.
-        journal = Journal(wal, fsync=False)
-        journal.commit("commit", "t0", ENTRIES)
-        cursor = JournalCursor(wal, after_lsn=9)
-        assert cursor.read_new() == []
-        journal.close()
-
-    def test_missing_file_reads_empty(self, wal) -> None:
-        cursor = JournalCursor(wal)
-        assert cursor.read_new() == []
-
-    def test_compaction_under_cursor_falls_back_to_lsn_filter(
-        self, wal
-    ) -> None:
-        """Compaction rewrites the file under the cursor's remembered
-        offset; the cursor must trust LSNs over offsets and not replay
-        records it already returned."""
-        journal = Journal(wal, fsync=False)
-        for i in range(4):
-            journal.commit("commit", f"t{i}", ENTRIES)
-        cursor = JournalCursor(wal)
-        assert [r.lsn for r in cursor.read_new()] == [1, 2, 3, 4]
-        journal.compact(keep_after_lsn=3)  # file now holds only LSN 4
-        journal.commit("commit", "t4", ENTRIES)
-        journal.sync()
-        assert [r.lsn for r in cursor.read_new()] == [5]
-        journal.close()
 
 
 def test_frame_header_size_is_eight_bytes() -> None:

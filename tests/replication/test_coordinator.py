@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ShardError
-from repro.recovery import EngineSnapshot, Journal, write_snapshot
+from repro.recovery import (
+    EngineSnapshot,
+    Journal,
+    JournalRecord,
+    replay_journal,
+    write_snapshot,
+)
 from repro.replication import ReplicationConfig, ReplicationCoordinator
 
 ENTRIES = (("t0/0", 4096, "zlib", 123),)
@@ -103,6 +109,105 @@ class TestAntiEntropy:
         coordinator.close()
 
 
+# What the deleted ``JournalCursor`` tests pinned, on the only caller it
+# had: each scenario prepares the primary's directory, then yields
+# ``(LSNs the next catch_up must apply, the standby's applied LSN after)``.
+
+
+def _unseen_only_on_a_second_call(primary):
+    journal = Journal(primary / "journal.wal", fsync=False)
+    journal.commit("commit", "t0", ENTRIES)
+    journal.commit("commit", "t1", ENTRIES)
+    yield [1, 2], 2
+    yield [], 2  # unchanged file: nothing new
+    journal.commit("evict", "t0")
+    yield [3], 3
+    journal.close()
+
+
+def _torn_primary_tail_completes_on_the_next_call(primary):
+    """A frame torn mid-sync is neither applied nor skipped: the pass
+    stops at the last intact record and the next one picks it up."""
+    journal = Journal(primary / "journal.wal", fsync=False)
+    journal.commit("commit", "t0", ENTRIES)
+    yield [1], 1
+    frame = JournalRecord(2, "commit", "t1", ENTRIES).frame()
+    intact = journal.path.read_bytes()
+    journal.path.write_bytes(intact + frame[: len(frame) // 2])
+    yield [], 1
+    journal.path.write_bytes(intact + frame)  # the sync completes
+    yield [2], 2
+    journal.close()
+
+
+def _snapshot_floor_skips_covered_records(primary):
+    journal = Journal(primary / "journal.wal", fsync=False)
+    for i in range(4):
+        journal.commit("commit", f"t{i}", ENTRIES)
+    write_snapshot(
+        primary, EngineSnapshot(journal_lsn=2, catalog={}), fsync=False
+    )
+    yield [3, 4], 4
+    journal.close()
+
+
+def _floor_beyond_a_compacted_to_empty_file(primary):
+    # The snapshot covers more than the file holds: an empty tail, no error.
+    journal = Journal(primary / "journal.wal", fsync=False)
+    journal.commit("commit", "t0", ENTRIES)
+    journal.compact(keep_after_lsn=1)
+    assert journal.path.stat().st_size == 0
+    write_snapshot(
+        primary, EngineSnapshot(journal_lsn=9, catalog={}), fsync=False
+    )
+    yield [], 9
+    journal.close()
+
+
+def _missing_journal_file(primary):
+    primary.mkdir()
+    yield [], 0
+
+
+def _compaction_between_two_calls(primary):
+    """Compaction rewrites the file between passes; LSNs, not offsets,
+    decide what is new."""
+    journal = Journal(primary / "journal.wal", fsync=False)
+    for i in range(4):
+        journal.commit("commit", f"t{i}", ENTRIES)
+    yield [1, 2, 3, 4], 4
+    journal.compact(keep_after_lsn=3)  # file now holds only LSN 4
+    journal.commit("commit", "t4", ENTRIES)
+    yield [5], 5
+    journal.close()
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        _unseen_only_on_a_second_call,
+        _torn_primary_tail_completes_on_the_next_call,
+        _snapshot_floor_skips_covered_records,
+        _floor_beyond_a_compacted_to_empty_file,
+        _missing_journal_file,
+        _compaction_between_two_calls,
+    ],
+    ids=lambda scenario: scenario.__name__.lstrip("_"),
+)
+def test_catch_up_applies_exactly_the_unseen_intact_tail(
+    tmp_path, scenario
+) -> None:
+    coordinator = _coordinator(tmp_path, replicas=1)
+    standby = coordinator.standbys[0][0]
+    primary = tmp_path / "primary"
+    for expected, applied_lsn in scenario(primary):
+        assert coordinator.catch_up(0, primary) == len(expected)
+        assert standby.applied_lsn == applied_lsn
+        held = [r.lsn for r in replay_journal(standby.journal_path).records]
+        assert held[len(held) - len(expected):] == expected
+    coordinator.close()
+
+
 class TestPromotion:
     def test_candidate_is_most_caught_up_lowest_id(
         self, tmp_path, primary_journal
@@ -114,8 +219,6 @@ class TestPromotion:
         # All equal: ties break toward the lowest replica id.
         assert coordinator.promotion_candidate(0) is r0
         # A strictly more caught-up standby wins regardless of id.
-        from repro.recovery import JournalRecord
-
         r2.apply(JournalRecord(2, "commit", "t1", ENTRIES))
         assert coordinator.promotion_candidate(0) is r2
         coordinator.close()

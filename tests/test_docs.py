@@ -54,6 +54,17 @@ def test_baselines_and_ci_jobs_named_in_docs_exist(check_docs) -> None:
     assert check_docs.check_baselines() == []
 
 
+def test_backticked_code_names_in_the_durability_docs_resolve(check_docs) -> None:
+    """A `` `repro.x.y` `` path, a `` `Class.attr` `` or a CamelCase name in
+    RECOVERY / SHARDING / INTEGRITY is a real object of ``src/repro`` —
+    deleting a class without touching its docs fails here."""
+    assert check_docs.check_symbols() == []
+    assert check_docs._resolves("Journal.persist")
+    assert check_docs._resolves("ShardConfig.directory")  # a dataclass field
+    assert not check_docs._resolves("JournalCursor")
+    assert not check_docs._resolves("repro.recovery.journal.JournalCursor")
+
+
 def test_metric_reference_shorthand_is_expanded(check_docs) -> None:
     assert check_docs.documented_families(
         "`hcompress_a_{hits,misses}_total{kind}`, the hcompress_shi_* "

@@ -30,6 +30,10 @@ The checks, each also importable for the pytest wrapper
 * **check_baselines** — every committed root ``BENCH_*.json`` has a row
   in EXPERIMENTS.md's baseline table, and every "``<name>`` CI job" the
   docs mention is a job of ``.github/workflows/ci.yml``.
+* **check_symbols** — every `` `repro.x.y` `` path, `` `Name.attr` `` and
+  CamelCase name the recovery, sharding and integrity pages put in
+  backticks still resolves against ``src/repro`` (a deleted class or a
+  renamed method fails here, not in a reader's terminal).
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import ast
 import collections
 import contextlib
 import doctest
+import importlib
 import io
 import os
 import re
@@ -271,6 +276,70 @@ def check_baselines() -> list[str]:
     ]
 
 
+#: Pages whose backticked code names are resolved, and where a bare or
+#: leading class name is looked up (first hit wins).
+SYMBOL_DOCS = ("RECOVERY.md", "SHARDING.md", "INTEGRITY.md")
+SYMBOL_MODULES = (
+    "repro", "repro.errors", "repro.recovery", "repro.recovery.journal",
+    "repro.replication", "repro.shard", "repro.shard.manifest",
+    "repro.scrub", "repro.core", "repro.core.manager", "repro.qos",
+    "repro.faults", "repro.obs",
+)
+_SPAN_RE = re.compile(r"`([^`\n]+)`")
+_DOTTED_RE = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*$")
+_CLASS_RE = re.compile(r"[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*\.")  # ``Journal.sync``
+_CAMEL_RE = re.compile(r"[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+$")  # bare names
+
+
+def _resolves(name: str) -> bool:
+    """Whether a dotted doc name is a real object: ``repro.a.b`` by
+    import + attribute walk, ``Class.attr...`` from :data:`SYMBOL_MODULES`
+    (fields of dataclasses and named tuples count as attributes)."""
+    head, *rest = name.split(".")
+    if head == "repro":
+        parts = name.split(".")
+        for cut in range(len(parts), 0, -1):
+            try:
+                obj = importlib.import_module(".".join(parts[:cut]))
+            except ModuleNotFoundError:
+                continue
+            rest = parts[cut:]
+            break
+    else:
+        modules = map(importlib.import_module, SYMBOL_MODULES)
+        obj = next((vars(m)[head] for m in modules if head in vars(m)), None)
+        if obj is None:
+            return False
+    for attr in rest:
+        if attr in getattr(obj, "__annotations__", ()):
+            return True  # a field: its type is not ours to follow
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def check_symbols() -> list[str]:
+    """Backticked ``repro.*`` paths, ``Class.attr`` and CamelCase names in
+    the recovery / sharding / integrity pages resolve."""
+    errors = []
+    for page in SYMBOL_DOCS:
+        text = _FENCE_RE.sub("", (REPO / "docs" / page).read_text())
+        for span in sorted(set(_SPAN_RE.findall(text))):
+            name = span.split("(", 1)[0]
+            if not _DOTTED_RE.match(name):
+                continue
+            if not (
+                name.split(".", 1)[0] == "repro"
+                or _CLASS_RE.match(name)
+                or _CAMEL_RE.match(name)
+            ):
+                continue
+            if not _resolves(name):
+                errors.append(f"docs/{page}: `{span}` does not resolve")
+    return errors
+
+
 def update_golden() -> None:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for sub in HELP_SUBCOMMANDS:
@@ -292,7 +361,7 @@ def main(argv=None) -> int:
     failures = 0
     for check in (
         check_links, check_snippets, check_cli_help, check_orphans,
-        check_metric_reference, check_baselines,
+        check_metric_reference, check_baselines, check_symbols,
     ):
         errors = check()
         status = "ok" if not errors else f"{len(errors)} problem(s)"
